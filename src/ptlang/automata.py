@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 Word = tuple[str, ...]
 
@@ -139,18 +139,14 @@ def make_automaton(
     return Automaton(state_set, letters, frozen, init, acc)
 
 
-def _subset_name(members: Iterable[str]) -> str:
-    return "{" + ",".join(sorted(members)) + "}"
-
-
-def determinize(a: Automaton) -> Automaton:
-    """Subset construction: a deterministic complete language-equivalent DFA.
-
-    States are the reachable subsets, canonically named by their sorted member
-    lists; the empty subset acts as the sink when it is reachable.
-    """
+def _subset_construction(
+    a: Automaton, name: Callable[[frozenset[str]], str]
+) -> Optional[Automaton]:
+    """The subset construction with states named by `name`, or None as soon as
+    two reachable subsets get the same name."""
     start = a.initials
-    seen: dict[frozenset[str], str] = {start: _subset_name(start)}
+    seen: dict[frozenset[str], str] = {start: name(start)}
+    names = set(seen.values())
     queue = deque([start])
     triples: list[tuple[str, str, str]] = []
     while queue:
@@ -160,11 +156,30 @@ def determinize(a: Automaton) -> Automaton:
                 itertools.chain.from_iterable(a.targets(q, letter) for q in current)
             )
             if nxt not in seen:
-                seen[nxt] = _subset_name(nxt)
+                seen[nxt] = label = name(nxt)
+                if label in names:
+                    return None
+                names.add(label)
                 queue.append(nxt)
             triples.append((seen[current], letter, seen[nxt]))
-    accepting = {name for subset, name in seen.items() if subset & a.accepting}
+    accepting = {state for subset, state in seen.items() if subset & a.accepting}
     return make_automaton(seen.values(), a.alphabet, triples, [seen[start]], accepting)
+
+
+def determinize(a: Automaton) -> Automaton:
+    """Subset construction: a deterministic complete language-equivalent DFA.
+
+    States are the reachable subsets, canonically named by their sorted member
+    lists; the empty subset acts as the sink when it is reachable.  Should two
+    subsets print alike, backslashes, commas and braces in members are escaped.
+    """
+    dfa = _subset_construction(a, lambda s: "{" + ",".join(sorted(s)) + "}")
+    if dfa is None:
+        escape = str.maketrans({c: "\\" + c for c in "\\,{}"})
+        dfa = _subset_construction(
+            a, lambda s: "{" + ",".join(m.translate(escape) for m in sorted(s)) + "}"
+        )
+    return dfa
 
 
 def minimize(a: Automaton) -> Automaton:

@@ -7,7 +7,7 @@ ignored.  Canonical serialization sorts states and transitions, so a parsed
 file re-serializes bit-identically.
 
 Exit codes: 0 = yes/success, 1 = no, 2 = input or contract error,
-3 = unknown (a budget ran out).
+3 = unknown (a budget or memory ran out), 4 = internal error (a crash).
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
 EXIT_UNKNOWN = 3
+EXIT_INTERNAL = 4
 
 _HEADERS = ("alphabet", "states", "initial", "accepting")
 
@@ -396,12 +397,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceededError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_UNKNOWN
     except (InputError, ContractError, CyclicAutomatonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

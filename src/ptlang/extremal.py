@@ -7,16 +7,12 @@ depth of minimal DFAs of k-PT languages over n letters.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from functools import lru_cache
 from itertools import chain, combinations
 
 from ptlang.automata import Automaton, InputError, Word, make_automaton
-from ptlang.subwords import (
-    DEFAULT_CLASS_BUDGET,
-    canonical_automaton_classes,
-    subwords_up_to_k,
-)
+from ptlang.subwords import DEFAULT_CLASS_BUDGET, canonical_automaton
 
 
 def gen_ak(k: int) -> Automaton:
@@ -58,21 +54,17 @@ def pkn(k: int, n: int) -> int:
     return math.comb(k + n, k) - 1
 
 
-@lru_cache(maxsize=None)
-def _stirling_cycle(n: int, k: int) -> int:
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
-    return _stirling_cycle(n - 1, k - 1) + (n - 1) * _stirling_cycle(n - 1, k)
-
-
 def pkn_stirling(k: int, n: int) -> int:
     """P(k, n) evaluated through Stirling cycle numbers:
     (1/k!) * sum_i [k+1, i+1] * n^i for i = 1..k."""
     if k < 1 or n < 1:
         raise InputError("k and n must be positive")
-    total = sum(_stirling_cycle(k + 1, i + 1) * n**i for i in range(1, k + 1))
+    # Row k + 1 of the cycle numbers, built one row at a time from
+    # [0, 0] = 1 by [m+1, j] = [m, j-1] + m [m, j].
+    row = [1]
+    for m in range(k + 1):
+        row = [left + m * right for left, right in zip([0] + row, row + [0])]
+    total = sum(row[i + 1] * n**i for i in range(1, k + 1))
     quotient, remainder = divmod(total, math.factorial(k))
     if remainder:
         raise ArithmeticError("Stirling sum is not divisible by k!")
@@ -103,19 +95,12 @@ def gen_tight_depth_dfa(
     exactly pkn(k, n)."""
     word = gen_wkn(k, n)
     alphabet = tuple(f"a{i}" for i in range(1, n + 1))
-    automaton, classes = canonical_automaton_classes(alphabet, k, budget)
-    by_members = {s.members: name for name, s in classes.items()}
-    accepting = {
-        by_members[subwords_up_to_k(word[:length], k, alphabet).members]
+    automaton = canonical_automaton(alphabet, k, budget)
+    accepting = frozenset(
+        automaton.dstate_from("c0", word[:length])
         for length in range(0, len(word) + 1, 2)
-    }
-    return Automaton(
-        automaton.states,
-        automaton.alphabet,
-        automaton.transitions,
-        automaton.initials,
-        frozenset(accepting),
     )
+    return dataclasses.replace(automaton, accepting=accepting)
 
 
 def gen_intersection_nfa(alphabet: tuple[str, ...]) -> Automaton:

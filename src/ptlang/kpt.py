@@ -25,7 +25,15 @@ from ptlang.automata import (
     transition_monoid,
 )
 from ptlang.pt import is_pt_min_dfa
-from ptlang.subwords import DEFAULT_CLASS_BUDGET, _grow, embeds, k_equivalent
+from ptlang.subwords import (
+    DEFAULT_CLASS_BUDGET,
+    EPSILON_CLASS,
+    ClassKey,
+    class_edges,
+    class_pieces,
+    embeds,
+    k_equivalent,
+)
 
 ONE_PT_IDENTITIES = (("x", "xx"), ("xy", "yx"))
 TWO_PT_IDENTITIES = (("xyxy", "yxyx"), ("xyzx", "xyxzx"))
@@ -164,32 +172,22 @@ def is_3pt(
 
 def _class_state_map(
     a: Automaton, k: int, budget: int
-) -> Union[Certificate, dict[frozenset[Word], tuple[str, Word]]]:
-    """BFS over (~_k class, DFA state) pairs from ([epsilon], initial).
-
-    Returns the functional class-to-(state, access word) map when every class
-    meets a single state, or a Certificate for the first class caught meeting
-    two.
-    """
-    start_class: frozenset[Word] = frozenset({()})
-    start_state = next(iter(a.initials))
-    seen: dict[frozenset[Word], tuple[str, Word]] = {start_class: (start_state, ())}
-    queue = deque([(start_class, start_state, ())])
-    while queue:
-        members, q, w = queue.popleft()
-        for letter in a.alphabet:
-            nxt_members = _grow(members, letter, k)
-            nxt_state = a.dstep(q, letter)
-            nxt_word = w + (letter,)
-            if nxt_members not in seen:
-                if len(seen) >= budget:
-                    raise BudgetExceededError(budget, len(seen) + 1, "classes")
-                seen[nxt_members] = (nxt_state, nxt_word)
-                queue.append((nxt_members, nxt_state, nxt_word))
-            else:
-                prev_state, prev_word = seen[nxt_members]
-                if prev_state != nxt_state:
-                    return Certificate(k, prev_word, nxt_word, prev_state, nxt_state)
+) -> Union[Certificate, dict[ClassKey, tuple[str, Word]]]:
+    """Pair each ~_k class with the DFA state its first access word reaches:
+    the class-to-(state, access word) map when every class meets a single
+    state, or a Certificate for the first class caught meeting two."""
+    step = {key: next(iter(dsts)) for key, dsts in a.transitions.items()}
+    seen = {EPSILON_CLASS: (next(iter(a.initials)), ())}
+    for cls, letter, nxt, first_visit in class_edges(a.alphabet, k, budget):
+        q, w = seen[cls]
+        nxt_state = step[q, letter]
+        nxt_word = w + (letter,)
+        if first_visit:
+            seen[nxt] = (nxt_state, nxt_word)
+        else:
+            prev_state, prev_word = seen[nxt]
+            if prev_state != nxt_state:
+                return Certificate(k, prev_word, nxt_word, prev_state, nxt_state)
     return seen
 
 
@@ -198,8 +196,6 @@ def is_kpt_oracle(
 ) -> OracleAnswer:
     """Exact k-PT test on a minimal complete DFA by class/state reachability."""
     _require_min_dfa(a, "is_kpt_oracle")
-    if k < 0:
-        raise InputError("k must be non-negative")
     try:
         outcome = _class_state_map(a, k, budget)
     except BudgetExceededError:
@@ -280,31 +276,6 @@ def min_k(
     return hi
 
 
-def _maximal_members(members: frozenset[Word]) -> frozenset[Word]:
-    return frozenset(
-        w
-        for w in members
-        if w and not any(u != w and embeds(w, u) for u in members)
-    )
-
-
-def _minimal_complement(
-    members: frozenset[Word], alphabet: tuple[str, ...], k: int
-) -> frozenset[Word]:
-    """Minimal missing words: every single-letter deletion is a member."""
-    full: set[Word] = {()}
-    frontier: list[Word] = [()]
-    for _ in range(k):
-        frontier = [w + (a,) for w in frontier for a in alphabet]
-        full.update(frontier)
-    out = set()
-    for v in full - members:
-        deletions = {v[:i] + v[i + 1 :] for i in range(len(v))}
-        if deletions <= members:
-            out.add(v)
-    return frozenset(out)
-
-
 def decompose(
     a: Automaton, k: int, budget: int = DEFAULT_CLASS_BUDGET
 ) -> PieceExpression:
@@ -316,16 +287,11 @@ def decompose(
     if isinstance(outcome, Certificate):
         raise ContractError("decompose requires a k-PT language at this k")
     clauses = []
-    for members, (state, _word) in sorted(
+    for cls, (state, _word) in sorted(
         outcome.items(), key=lambda item: (len(item[1][1]), item[1][1])
     ):
         if state in a.accepting:
-            clauses.append(
-                Clause(
-                    _maximal_members(members),
-                    _minimal_complement(members, a.alphabet, k),
-                )
-            )
+            clauses.append(Clause(*class_pieces(cls, a.alphabet, k)))
     return PieceExpression(tuple(clauses))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from ptlang.automata import (
     Automaton,
@@ -20,6 +20,10 @@ from ptlang.automata import (
 )
 
 DEFAULT_CLASS_BUDGET = 2 * 10**6
+
+# A ~_k class as class_edges stores it; other modules only hash it.
+ClassKey = frozenset[Word]
+EPSILON_CLASS: ClassKey = frozenset({()})
 
 
 def embeds(v: Word, w: Word) -> bool:
@@ -32,9 +36,9 @@ def embeds(v: Word, w: Word) -> bool:
 class SubwordSet:
     """A subword-closed set of words of length <= k: the signature of a ~_k class.
 
-    The alphabet is carried along for constructions that need it (canonical
-    automaton, complements) but does not take part in equality: two classes
-    are equal when their member sets are.
+    The alphabet is carried along for constructions that need it (class
+    successors) but does not take part in equality: two classes are equal
+    when their member sets are.
     """
 
     k: int
@@ -48,6 +52,26 @@ class SubwordSet:
     def sorted_members(self) -> list[Word]:
         """Members in shortlex order (the canonical serialization order)."""
         return sorted(self.members, key=lambda w: (len(w), w))
+
+
+def class_pieces(
+    members: ClassKey, alphabet: tuple[str, ...], k: int
+) -> tuple[frozenset[Word], frozenset[Word]]:
+    """The pieces that pin down a ~_k class among words over `alphabet`: its
+    maximal members, which every word of the class contains, and its minimal
+    missing words (every single-letter deletion is a member), which none does."""
+    maximal = frozenset(
+        w for w in members if w and not any(u != w and embeds(w, u) for u in members)
+    )
+    full: set[Word] = {()}
+    frontier: list[Word] = [()]
+    for _ in range(k):
+        frontier = [w + (a,) for w in frontier for a in alphabet]
+        full.update(frontier)
+    missing = frozenset(
+        v for v in full - members if all(v[:i] + v[i + 1 :] in members for i in range(len(v)))
+    )
+    return maximal, missing
 
 
 def _grow(members: frozenset[Word], a: str, k: int) -> frozenset[Word]:
@@ -77,43 +101,46 @@ def class_successor(s: SubwordSet, a: str) -> SubwordSet:
     return SubwordSet(s.k, s.alphabet, _grow(s.members, a, s.k))
 
 
-def canonical_automaton_classes(
-    alphabet: Iterable[str], k: int, budget: int = DEFAULT_CLASS_BUDGET
-) -> tuple[Automaton, dict[str, SubwordSet]]:
-    """The ~_k-canonical DFA plus the class each of its states stands for.
-
-    States are the classes reachable from [epsilon] by appending letters,
-    built lazily by BFS and named c0, c1, ... in discovery order.  The
-    accepting set is left empty; callers attach their own.
-    """
-    letters = tuple(alphabet)
+def class_edges(
+    alphabet: tuple[str, ...], k: int, budget: int = DEFAULT_CLASS_BUDGET
+) -> Iterator[tuple[ClassKey, str, ClassKey, bool]]:
+    """Breadth-first search over the ~_k classes reachable from EPSILON_CLASS:
+    yields (class, letter, successor, first_visit) per edge, classes in
+    discovery order and letters in alphabet order.  Discovering class
+    budget + 1 raises BudgetExceededError."""
     if k < 0:
         raise InputError("k must be non-negative")
-    if not letters:
-        raise InputError("alphabet must be nonempty")
-    start: frozenset[Word] = frozenset({()})
-    names: dict[frozenset[Word], str] = {start: "c0"}
-    queue = deque([start])
-    triples: list[tuple[str, str, str]] = []
+    seen = {EPSILON_CLASS}
+    queue = deque([EPSILON_CLASS])
     while queue:
         members = queue.popleft()
-        for a in letters:
+        for a in alphabet:
             nxt = _grow(members, a, k)
-            if nxt not in names:
-                if len(names) >= budget:
-                    raise BudgetExceededError(budget, len(names) + 1, "classes")
-                names[nxt] = f"c{len(names)}"
+            first_visit = nxt not in seen
+            if first_visit:
+                if len(seen) >= budget:
+                    raise BudgetExceededError(budget, len(seen) + 1, "classes")
+                seen.add(nxt)
                 queue.append(nxt)
-            triples.append((names[members], a, names[nxt]))
-    automaton = make_automaton(names.values(), letters, triples, [names[start]], [])
-    classes = {name: SubwordSet(k, letters, members) for members, name in names.items()}
-    return automaton, classes
+            yield members, a, nxt, first_visit
 
 
 def canonical_automaton(
     alphabet: Iterable[str], k: int, budget: int = DEFAULT_CLASS_BUDGET
 ) -> Automaton:
-    return canonical_automaton_classes(alphabet, k, budget)[0]
+    """The ~_k-canonical DFA: one state per class reachable from [epsilon],
+    named c0, c1, ... in discovery order.  The accepting set is left empty;
+    callers attach their own."""
+    letters = tuple(alphabet)
+    if not letters:
+        raise InputError("alphabet must be nonempty")
+    names = {EPSILON_CLASS: "c0"}
+    triples: list[tuple[str, str, str]] = []
+    for members, a, nxt, first_visit in class_edges(letters, k, budget):
+        if first_visit:
+            names[nxt] = f"c{len(names)}"
+        triples.append((names[members], a, names[nxt]))
+    return make_automaton(names.values(), letters, triples, ["c0"], [])
 
 
 def reduce_word(w: Word, k: int) -> Word:
@@ -124,7 +151,7 @@ def reduce_word(w: Word, k: int) -> Word:
     """
     if k < 0:
         raise InputError("k must be non-negative")
-    members: frozenset[Word] = frozenset({()})
+    members = EPSILON_CLASS
     kept: list[str] = []
     for a in w:
         grown = _grow(members, a, k)

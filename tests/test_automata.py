@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from conftest import (
     all_words,
     dfa_only_epsilon,
@@ -224,6 +226,41 @@ def test_determinize_preserves_language():
         assert d.deterministic and d.complete
         words = [random_word(rng, a.alphabet, 12) for _ in range(200)]
         assert languages_agree(a, d, words)
+
+
+@st.composite
+def nfas_with_separator_names(draw):
+    names = draw(
+        st.lists(st.text(alphabet="ab,{}", min_size=1, max_size=3), min_size=1, max_size=5, unique=True)
+    )
+    state = st.sampled_from(names)
+    triples = draw(st.lists(st.tuples(state, st.sampled_from("xy"), state), max_size=12))
+    initials = draw(st.sets(state, min_size=1))
+    accepting = draw(st.sets(state))
+    return make_automaton(names, ("x", "y"), triples, initials, accepting)
+
+
+def _collision(s, a, b, ab):
+    # s -x-> {a, b} and s -y-> {ab}, where ab is a's and b's names joined
+    # by a comma: both subsets print as the same sorted member list.
+    return make_automaton(
+        [s, a, b, ab], ("x", "y"), [(s, "x", a), (s, "x", b), (s, "y", ab)], [s], [a]
+    )
+
+
+@example(_collision("s", "a", "b", "a,b"))
+@example(_collision("{s}", "{a}", "{b}", "{a},{b}"))
+@settings(max_examples=60)
+@given(nfas_with_separator_names())
+def test_determinize_with_separator_state_names(a):
+    d = determinize(a)
+    assert d.deterministic and d.complete
+    subsets: dict[str, set] = {}
+    for w in all_words(a.alphabet, 4):
+        assert d.accepts(w) == a.accepts(w)
+        subsets.setdefault(d.dstate(w), set()).add(a.run(w))
+    # distinct reachable subsets never share a DFA state
+    assert all(len(found) == 1 for found in subsets.values())
 
 
 def test_minimize_preserves_language_and_distinguishes():

@@ -4,7 +4,7 @@ import random
 import pytest
 from conftest import all_words, languages_agree, random_nfa
 
-from ptlang import InputError, gen_ak
+from ptlang import InputError, cli, gen_ak, pkn
 from ptlang.cli import (
     load_automaton,
     main,
@@ -223,6 +223,26 @@ def test_cli_pkn(capsys):
     assert capsys.readouterr().out.strip() == "923"
     assert main(["pkn", "3", "3", "--stirling"]) == 0
     assert capsys.readouterr().out.strip() == "19"
+    # deep enough to overflow the stack of a recursive Stirling evaluation
+    assert main(["pkn", "1200", "2", "--stirling"]) == 0
+    assert capsys.readouterr().out.strip() == str(pkn(1200, 2))
+
+
+@pytest.mark.parametrize(
+    "exc, code, message",
+    [
+        (MemoryError(), 3, "out of memory"),
+        (RecursionError("maximum recursion depth exceeded"), 4, "RecursionError"),
+        (KeyError("q7"), 4, "KeyError: 'q7'"),
+    ],
+)
+def test_cli_crash_exit_codes(ab_piece_file, monkeypatch, capsys, exc, code, message):
+    def crash(_automaton):
+        raise exc
+
+    monkeypatch.setattr(cli, "is_pt", crash)
+    assert main(["is-pt", ab_piece_file]) == code
+    assert message in capsys.readouterr().err
 
 
 def test_cli_minimize_preserves_language(ab_piece_file, capsys):

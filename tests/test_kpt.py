@@ -177,6 +177,14 @@ def test_decompose_epsilon_language():
     assert clause.forbidden == frozenset({("a",), ("b",)})
 
 
+def test_empty_alphabet():
+    # The class search has no edge to follow; [epsilon] is the only class.
+    everything = make_automaton(["q"], [], [], ["q"], ["q"])
+    assert is_kpt_oracle(everything, 2).verdict == "yes"
+    (clause,) = decompose(everything, 2).clauses
+    assert clause.required == clause.forbidden == frozenset()
+
+
 def test_decompose_rejects_wrong_k():
     with pytest.raises(ContractError):
         decompose(dfa_piece(("a", "b"), ("a", "b")), 1)

@@ -21,7 +21,7 @@ from ptlang import (
     reduce_word,
     subwords_up_to_k,
 )
-from ptlang.subwords import canonical_automaton_classes, serialize_subword_set
+from ptlang.subwords import serialize_subword_set
 
 words_ab = st.lists(st.sampled_from("ab"), max_size=10).map(tuple)
 words_abc = st.lists(st.sampled_from("abc"), max_size=10).map(tuple)
@@ -134,11 +134,18 @@ def test_canonical_automaton_depths():
 
 
 def test_canonical_automaton_is_partially_ordered_and_monotone():
-    aut, classes = canonical_automaton_classes(["a", "b"], 2)
+    # Every class has an access word no longer than the depth P(2, 2) = 5,
+    # so the words up to length 5 reach every state.
+    aut = canonical_automaton(["a", "b"], 2)
     assert is_partially_ordered(aut)
+    classes: dict[str, set] = {q: set() for q in aut.states}
+    for w in all_words(("a", "b"), 5):
+        classes[aut.dstate(w)].add(brute_subwords(w, 2))
+    assert all(len(found) == 1 for found in classes.values())
+    sub2 = {q: found.pop() for q, found in classes.items()}
     for (src, _letter), dsts in aut.transitions.items():
         (dst,) = dsts
-        assert classes[src].members <= classes[dst].members
+        assert sub2[src] <= sub2[dst]
 
 
 def test_canonical_automaton_budget():
