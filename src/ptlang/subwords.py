@@ -1,8 +1,10 @@
 """Subsequence embedding, sub_k sets and Simon's k-equivalence of words.
 
-Words are tuples of letter names.  A ~_k class is represented extensionally
-by the subword-closed set of its scattered subwords of length at most k; two
-words are k-equivalent exactly when these sets coincide.
+Words are tuples of letter names.  Two words are k-equivalent when they have
+the same scattered subwords of length at most k.  The class search
+represents a ~_k class extensionally, by that subword-closed set; the test
+of two given words (k_equivalent) builds no such set and compares the
+words' suffixes instead.
 """
 
 from __future__ import annotations
@@ -90,8 +92,45 @@ def subwords_up_to_k(w: Word, k: int, alphabet: Optional[Iterable[str]] = None) 
 
 
 def k_equivalent(w1: Word, w2: Word, k: int) -> bool:
-    """Simon's congruence: equality of the sub_k sets."""
-    return subwords_up_to_k(w1, k).members == subwords_up_to_k(w2, k).members
+    """Simon's congruence: sub_k(w1) == sub_k(w2), tested on suffix pairs.
+
+    By leftmost embedding (Simon 1975),
+    sub_m(w[i:]) = {epsilon} | U_{a in alph(w[i:])} a . sub_{m-1}(w[next(i, a):]),
+    where next(i, a) is one past the first a at or after position i.  So
+    w1[i:] ~_m w2[j:] iff both suffixes have the same letters and, for each
+    letter, the suffixes after its first occurrence are ~_{m-1}.  A
+    breadth-first search from (0, 0) checks this for at most k levels.  A
+    pair met again deeper down needs only a coarser equivalence than it was
+    checked for, so each of the (|w1|+1)(|w2|+1) pairs is checked at most
+    once: O(|w1| |w2| |alphabet|) time for any k, and no set that grows as
+    |alphabet|^k.  The search stops once no new pair is left.
+    """
+    if k < 0:
+        raise InputError("k must be non-negative")
+    after1, after2 = _next_table(w1), _next_table(w2)
+    seen = {(0, 0)}
+    frontier = [(0, 0)]
+    for _ in range(k):
+        if not frontier:
+            break
+        successors = set()
+        for i, j in frontier:
+            first1, first2 = after1[i], after2[j]
+            if first1.keys() != first2.keys():
+                return False
+            successors.update((p, first2[a]) for a, p in first1.items())
+        frontier = successors - seen
+        seen |= frontier
+    return True
+
+
+def _next_table(w: Word) -> list[dict[str, int]]:
+    """Entry i maps each letter of w[i:] to one past its first position."""
+    table = [{}]
+    for i in range(len(w) - 1, -1, -1):
+        table.append({**table[-1], w[i]: i + 1})
+    table.reverse()
+    return table
 
 
 def class_successor(s: SubwordSet, a: str) -> SubwordSet:
@@ -146,8 +185,9 @@ def canonical_automaton(
 def reduce_word(w: Word, k: int) -> Word:
     """Drop every letter that does not grow the sub_k set of the prefix.
 
-    The result is k-equivalent to w and its prefixes are pairwise
-    non-k-equivalent, so its length is at most k*|alphabet|^k.
+    The result is k-equivalent to w and its prefixes have strictly growing
+    sub_k sets, a chain of ~_k classes, so over n distinct letters its length
+    is at most the paper's tight depth bound P(k, n) = C(k+n, k) - 1.
     """
     if k < 0:
         raise InputError("k must be non-negative")

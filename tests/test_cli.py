@@ -4,7 +4,7 @@ import random
 import pytest
 from conftest import all_words, languages_agree, random_nfa
 
-from ptlang import InputError, cli, gen_ak, pkn
+from ptlang import InputError, cli, gen_ak, gen_wk, pkn
 from ptlang.cli import (
     load_automaton,
     main,
@@ -158,6 +158,22 @@ def test_cli_witness_and_verify(ab_piece_file, capsys):
     # a non-equivalent pair is rejected
     assert main(["verify", "--k", "1", "--w1", "a", "--w2", "b", ab_piece_file]) == 1
     assert capsys.readouterr().out.strip() == "invalid"
+
+
+def test_cli_verify_wk_pair_beyond_sub_k_sets(tmp_path, capsys):
+    # the minimal DFA of A_8 has 512 states; sub_8 of w_8 over 9 letters is
+    # far too large to build, so verification must not enumerate subwords
+    assert main(["gen", "ak", "8"]) == 0
+    path = tmp_path / "a8.aut"
+    path.write_text(capsys.readouterr().out)
+    w = gen_wk(8)
+    pair = ["--w1", word_to_str(w[:-1]), "--w2", word_to_str(w), str(path)]
+    assert main(["verify", "--k", "8", *pair]) == 0
+    assert main(["verify", "--k", "9", *pair]) == 1
+    assert main(["verify", "--k", "1000000000", *pair]) == 1
+    same = ["--w1", word_to_str(w), "--w2", word_to_str(w), str(path)]
+    assert main(["verify", "--k", "1000000000", *same]) == 1
+    assert capsys.readouterr().out.split() == ["valid"] + ["invalid"] * 3
 
 
 def test_cli_decompose(ab_piece_file, capsys):

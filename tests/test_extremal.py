@@ -22,6 +22,7 @@ from ptlang import (
     pkn,
     pkn_stirling,
     subwords_up_to_k,
+    verify_pair,
 )
 
 PKN_TABLE = {
@@ -110,10 +111,13 @@ def test_gen_wk_prefix_membership():
 
 
 def test_gen_wk_truncation_certificate():
-    for k in range(6):
+    for k in range(11):
         w = gen_wk(k)
         assert k_equivalent(w, w[:-1], k)
         assert not k_equivalent(w, w[:-1], k + 1)
+        m = minimize(determinize(gen_ak(k)))
+        assert verify_pair(m, k, w[:-1], w)
+        assert not verify_pair(m, k + 1, w[:-1], w)
 
 
 def test_pkn_table():

@@ -123,6 +123,7 @@ def test_verify_pair_and_certificate_roundtrip():
     assert verify_pair(m, 3, w[:-1], w)
     assert not verify_pair(m, 4, w[:-1], w)  # not 4-equivalent
     assert not verify_pair(m, 3, w, w)  # same state
+    assert not verify_pair(m, 10**9, w, w)  # answered without 10**9 levels
     c = make_certificate(m, 3, w[:-1], w)
     assert verify_certificate(m, c)
     wrong_state = Certificate(c.k, c.w1, c.w2, c.state2, c.state1)

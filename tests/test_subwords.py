@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,23 @@ from ptlang.subwords import serialize_subword_set
 
 words_ab = st.lists(st.sampled_from("ab"), max_size=10).map(tuple)
 words_abc = st.lists(st.sampled_from("abc"), max_size=10).map(tuple)
+alphabets = st.sampled_from(["a", "ab", "abc", "abcd"])
+
+
+@st.composite
+def unrelated_pairs(draw):
+    letters = draw(alphabets)
+    words = st.lists(st.sampled_from(letters), max_size=10).map(tuple)
+    return draw(words), draw(words)
+
+
+@st.composite
+def insertion_pairs(draw):
+    # a word and the same word with one letter inserted
+    letters = draw(alphabets)
+    w = draw(st.lists(st.sampled_from(letters), max_size=14).map(tuple))
+    i = draw(st.integers(min_value=0, max_value=len(w)))
+    return w, w[:i] + (draw(st.sampled_from(letters)),) + w[i:]
 
 
 def test_embeds_basics():
@@ -80,7 +98,7 @@ def test_k_equivalent_at_zero():
 def test_wk_equivalent_to_truncation():
     # w_k and w_k minus its last letter are k-equivalent but not
     # (k+1)-equivalent.
-    for k in range(6):
+    for k in range(11):
         w = gen_wk(k)
         assert k_equivalent(w, w[:-1], k)
         assert not k_equivalent(w, w[:-1], k + 1)
@@ -91,9 +109,30 @@ def test_k_equivalent_letter_powers():
     assert not k_equivalent(("a",), ("a", "a"), 2)
 
 
-@given(words_ab, words_ab, st.integers(min_value=0, max_value=3))
-def test_k_equivalent_matches_brute_force(w1, w2, k):
+def test_k_equivalent_with_hostile_k():
+    # the search ends when no new pair of suffixes is left, not after k levels
+    w = gen_wk(8)
+    start = time.perf_counter()
+    assert k_equivalent(w, w, 10**9)
+    assert not k_equivalent(w[:-1], w, 10**9)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(InputError):
+        k_equivalent(w, w, -1)
+
+
+@given(unrelated_pairs(), st.integers(min_value=0, max_value=4))
+def test_k_equivalent_matches_brute_force(pair, k):
+    w1, w2 = pair
     assert k_equivalent(w1, w2, k) == (brute_subwords(w1, k) == brute_subwords(w2, k))
+
+
+@settings(max_examples=300)
+@given(insertion_pairs(), st.integers(min_value=0, max_value=4))
+def test_k_equivalent_matches_sets_on_insertions(pair, k):
+    w1, w2 = pair
+    same = subwords_up_to_k(w1, k).members == subwords_up_to_k(w2, k).members
+    assert k_equivalent(w1, w2, k) == same
+    assert k_equivalent(w2, w1, k) == same
 
 
 def test_class_successor_basics():
@@ -170,7 +209,8 @@ def test_reduce_word_equivalent_with_growing_prefixes(w, k):
     ]
     for earlier, later in zip(prefix_classes, prefix_classes[1:]):
         assert earlier < later
-    assert len(reduced) <= max(k, 1) * 2**k
+    if k >= 1 and w:
+        assert len(reduced) <= pkn(k, len(set(w)))
 
 
 def test_reduce_word_length_bound_for_full_words():
