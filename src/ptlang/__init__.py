@@ -25,9 +25,7 @@ from ptlang.automata import (
     transition_monoid,
 )
 from ptlang.subwords import (
-    SubwordSet,
     canonical_automaton,
-    class_successor,
     embeds,
     k_equivalent,
     reduce_word,

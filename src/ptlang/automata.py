@@ -262,39 +262,34 @@ def complete_with_sink(a: Automaton, sink_name: str = "sink") -> Automaton:
     )
 
 
-def _successors_without_self_loops(a: Automaton) -> dict[str, set[str]]:
+def _longest_paths(a: Automaton) -> Optional[dict[str, int]]:
+    """One Kahn pass over the graph without self-loops: the number of
+    transitions on the longest path into each state, or None if cyclic."""
     adj: dict[str, set[str]] = {q: set() for q in a.states}
     for (src, _letter), dsts in a.transitions.items():
         for dst in dsts:
             if dst != src:
                 adj[src].add(dst)
-    return adj
-
-
-def _topological_order(a: Automaton) -> Optional[list[str]]:
-    """States in topological order of the self-loop-free graph, or None if cyclic."""
-    adj = _successors_without_self_loops(a)
-    indegree = {q: 0 for q in a.states}
-    for src, dsts in adj.items():
+    indegree = dict.fromkeys(a.states, 0)
+    for dsts in adj.values():
         for dst in dsts:
             indegree[dst] += 1
-    queue = deque(sorted(q for q, d in indegree.items() if d == 0))
-    order = []
-    while queue:
-        q = queue.popleft()
-        order.append(q)
+    longest = dict.fromkeys(a.states, 0)
+    order = [q for q, d in indegree.items() if d == 0]
+    for q in order:
+        step = longest[q] + 1
         for dst in adj[q]:
+            if step > longest[dst]:
+                longest[dst] = step
             indegree[dst] -= 1
             if indegree[dst] == 0:
-                queue.append(dst)
-    if len(order) != len(a.states):
-        return None
-    return order
+                order.append(dst)
+    return longest if len(order) == len(a.states) else None
 
 
 def is_partially_ordered(a: Automaton) -> bool:
     """True iff reachability is a partial order: no cycles but self-loops."""
-    return _topological_order(a) is not None
+    return _longest_paths(a) is not None
 
 
 def depth(a: Automaton) -> int:
@@ -303,15 +298,9 @@ def depth(a: Automaton) -> int:
     Only defined for partially ordered automata, where the longest simple
     path is the longest path of the self-loop-free DAG.
     """
-    order = _topological_order(a)
-    if order is None:
+    longest = _longest_paths(a)
+    if longest is None:
         raise CyclicAutomatonError("depth is undefined on cyclic automata")
-    adj = _successors_without_self_loops(a)
-    longest = {q: 0 for q in a.states}
-    for q in order:
-        for dst in adj[q]:
-            if longest[q] + 1 > longest[dst]:
-                longest[dst] = longest[q] + 1
     return max(longest.values(), default=0)
 
 

@@ -75,16 +75,25 @@ def gen_wkn(k: int, n: int) -> Word:
     """The length-P(k,n) word over a1..an whose sub_k set is full and whose
     prefixes have pairwise distinct sub_k sets.
 
-    W(k,1) = a1^k, W(1,n) = a1 a2 ... an, and
-    W(k,n) = W(k,n-1) a_n W(k-1,n).
+    W(0,m) = epsilon, W(j,1) = a1^j and W(j,m) = W(j,m-1) a_m W(j-1,m), built
+    one letter at a time: row j holds W(j,m) for the letters seen so far.
     """
     if k < 1 or n < 1:
         raise InputError("k and n must be positive")
     if n == 1:
         return ("a1",) * k
-    if k == 1:
-        return tuple(f"a{i}" for i in range(1, n + 1))
-    return gen_wkn(k, n - 1) + (f"a{n}",) + gen_wkn(k - 1, n)
+    row = [["a1"] * j for j in range(k + 1)]
+    for m in range(2, n):
+        for j in range(1, k + 1):
+            row[j].append(f"a{m}")
+            row[j].extend(row[j - 1])
+    # The last row W(1..k,n) would hold far more letters than W(k,n), so only
+    # the running word is built: W(k,n-1) a_n W(k-1,n-1) a_n ... W(1,n-1) a_n.
+    word: list[str] = []
+    for _ in range(k):
+        word += row.pop()
+        word.append(f"a{n}")
+    return tuple(word)
 
 
 def gen_tight_depth_dfa(

@@ -1,17 +1,17 @@
 """Subsequence embedding, sub_k sets and Simon's k-equivalence of words.
 
 Words are tuples of letter names.  Two words are k-equivalent when they have
-the same scattered subwords of length at most k.  The class search
-represents a ~_k class extensionally, by that subword-closed set; the test
-of two given words (k_equivalent) builds no such set and compares the
-words' suffixes instead.
+the same scattered subwords of length at most k, their sub_k set.  A ~_k
+class is that set itself, a plain frozenset of words closed under taking
+subwords: the class search, reduce_word and class_pieces all work on it.
+The test of two given words (k_equivalent) builds no such set and compares
+the words' suffixes instead.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from ptlang.automata import (
     Automaton,
@@ -23,7 +23,8 @@ from ptlang.automata import (
 
 DEFAULT_CLASS_BUDGET = 2 * 10**6
 
-# A ~_k class as class_edges stores it; other modules only hash it.
+# A ~_k class: the sub_k set its words share.  It always holds the empty
+# word and every subword of a member; other modules only hash it.
 ClassKey = frozenset[Word]
 EPSILON_CLASS: ClassKey = frozenset({()})
 
@@ -34,61 +35,40 @@ def embeds(v: Word, w: Word) -> bool:
     return all(letter in it for letter in v)
 
 
-@dataclass(frozen=True)
-class SubwordSet:
-    """A subword-closed set of words of length <= k: the signature of a ~_k class.
-
-    The alphabet is carried along for constructions that need it (class
-    successors) but does not take part in equality: two classes are equal
-    when their member sets are.
-    """
-
-    k: int
-    alphabet: tuple[str, ...] = field(compare=False)
-    members: frozenset[Word]
-
-    def __post_init__(self):
-        if () not in self.members:
-            raise InputError("a subword set always contains the empty word")
-
-    def sorted_members(self) -> list[Word]:
-        """Members in shortlex order (the canonical serialization order)."""
-        return sorted(self.members, key=lambda w: (len(w), w))
-
-
 def class_pieces(
     members: ClassKey, alphabet: tuple[str, ...], k: int
 ) -> tuple[frozenset[Word], frozenset[Word]]:
     """The pieces that pin down a ~_k class among words over `alphabet`: its
     maximal members, which every word of the class contains, and its minimal
-    missing words (every single-letter deletion is a member), which none does."""
+    missing words (every single-letter deletion is a member), which none does.
+
+    Since the members are closed under taking subwords, a member is maximal
+    when no one-letter insertion of it is a member, and a minimal missing
+    word extends a member shorter than k by one letter.
+    """
     maximal = frozenset(
-        w for w in members if w and not any(u != w and embeds(w, u) for u in members)
+        w for w in members
+        if w and not any(w[:i] + (a,) + w[i:] in members for i in range(len(w) + 1) for a in alphabet)
     )
-    full: set[Word] = {()}
-    frontier: list[Word] = [()]
-    for _ in range(k):
-        frontier = [w + (a,) for w in frontier for a in alphabet]
-        full.update(frontier)
     missing = frozenset(
-        v for v in full - members if all(v[:i] + v[i + 1 :] in members for i in range(len(v)))
+        v for v in {m + (a,) for m in members if len(m) < k for a in alphabet}
+        if v not in members and all(v[:i] + v[i + 1 :] in members for i in range(len(v)))
     )
     return maximal, missing
 
 
-def _grow(members: frozenset[Word], a: str, k: int) -> frozenset[Word]:
+def _grow(members: ClassKey, a: str, k: int) -> ClassKey:
     return members | {u + (a,) for u in members if len(u) < k}
 
 
-def subwords_up_to_k(w: Word, k: int, alphabet: Optional[Iterable[str]] = None) -> SubwordSet:
+def subwords_up_to_k(w: Word, k: int) -> ClassKey:
     """sub_k(w): all subsequences of w of length at most k."""
     if k < 0:
         raise InputError("k must be non-negative")
-    letters = tuple(alphabet) if alphabet is not None else tuple(sorted(set(w)))
-    members: frozenset[Word] = frozenset({()})
+    members = EPSILON_CLASS
     for a in w:
         members = _grow(members, a, k)
-    return SubwordSet(k, letters, members)
+    return members
 
 
 def k_equivalent(w1: Word, w2: Word, k: int) -> bool:
@@ -131,13 +111,6 @@ def _next_table(w: Word) -> list[dict[str, int]]:
         table.append({**table[-1], w[i]: i + 1})
     table.reverse()
     return table
-
-
-def class_successor(s: SubwordSet, a: str) -> SubwordSet:
-    """The class of wa given the class of w: append `a` to every short member."""
-    if a not in s.alphabet:
-        raise InputError(f"letter {a!r} not in the alphabet of the class")
-    return SubwordSet(s.k, s.alphabet, _grow(s.members, a, s.k))
 
 
 def class_edges(
@@ -199,8 +172,3 @@ def reduce_word(w: Word, k: int) -> Word:
             kept.append(a)
             members = grown
     return tuple(kept)
-
-
-def serialize_subword_set(s: SubwordSet) -> str:
-    """One member per line in shortlex order, the empty word rendered as '-'."""
-    return "\n".join(" ".join(m) if m else "-" for m in s.sorted_members())

@@ -100,9 +100,9 @@ def test_longest_distinct_prefix_words():
             alphabet = tuple(f"a{i}" for i in range(1, n + 1))
             ok = ok and len(w) == pkn(k, n)
             full = frozenset(all_words(alphabet, k))
-            ok = ok and subwords_up_to_k(w, k, alphabet).members == full
+            ok = ok and subwords_up_to_k(w, k) == full
             prefixes = {
-                subwords_up_to_k(w[:i], k, alphabet).members
+                subwords_up_to_k(w[:i], k)
                 for i in range(len(w) + 1)
             }
             ok = ok and len(prefixes) == len(w) + 1
@@ -112,7 +112,7 @@ def test_longest_distinct_prefix_words():
     for length in range(9):
         for w in itertools.product(alphabet, repeat=length):
             classes = {
-                subwords_up_to_k(w[:i], 2, alphabet).members
+                subwords_up_to_k(w[:i], 2)
                 for i in range(length + 1)
             }
             if len(classes) == length + 1:

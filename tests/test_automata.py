@@ -212,6 +212,24 @@ def test_check_identity_violation():
     assert check_identity(m, "x", "x") is None
 
 
+def test_check_identity_beyond_the_table():
+    # The full transformation monoid on 5 states, generated by a 5-cycle, a
+    # transposition and the map 0 -> 1 fixing the rest, has 5^5 = 3125
+    # elements: too many for a composition table, so words are evaluated
+    # element by element.
+    states = [str(i) for i in range(5)]
+    triples = [(str(i), "c", str((i + 1) % 5)) for i in range(5)]
+    triples += [("0", "t", "1"), ("1", "t", "0")] + [(str(i), "t", str(i)) for i in range(2, 5)]
+    triples += [("0", "e", "1")] + [(str(i), "e", str(i)) for i in range(1, 5)]
+    m = transition_monoid(make_automaton(states, ["c", "t", "e"], triples, ["0"], []))
+    assert len(m.elements) == 3125
+    violation = check_identity(m, "x", "xx")
+    assert violation is not None
+    x = violation["x"]
+    assert TransitionMonoid.compose(x, x) != x
+    assert check_identity(m, "xx", "xx") is None
+
+
 def test_check_identity_budget():
     m = transition_monoid(dfa_piece(("a", "b"), ("a", "b")))
     with pytest.raises(BudgetExceededError):

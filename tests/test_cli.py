@@ -225,6 +225,13 @@ def test_cli_gen_words(capsys):
     assert capsys.readouterr().out.strip() == "a1 a1 a2 a1 a2"
 
 
+@pytest.mark.parametrize("k, n", [(1200, 2), (2, 1200)])
+def test_cli_gen_wkn_beyond_recursion_depth(k, n, capsys):
+    # each word has P(k, n) = 721,800 letters
+    assert main(["gen", "wkn", str(k), str(n)]) == 0
+    assert len(capsys.readouterr().out.split()) == pkn(k, n)
+
+
 def test_cli_gen_cap_and_tight(capsys):
     assert main(["gen", "cap", "2"]) == 0
     cap = parse_automaton(capsys.readouterr().out)

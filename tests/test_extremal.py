@@ -154,18 +154,29 @@ def test_gen_wkn_length_matches_pkn():
             assert len(gen_wkn(k, n)) == pkn(k, n)
 
 
+def test_gen_wkn_matches_recursive_definition():
+    def recursive(k, n):
+        if n == 1:
+            return ("a1",) * k
+        if k == 1:
+            return tuple(f"a{i}" for i in range(1, n + 1))
+        return recursive(k, n - 1) + (f"a{n}",) + recursive(k - 1, n)
+
+    for k in range(1, 9):
+        for n in range(1, 8):
+            assert gen_wkn(k, n) == recursive(k, n), (k, n)
+
+
 def test_gen_wkn_full_subword_set_and_distinct_prefixes():
     # the sub_k set of W(k, n) is everything, and every prefix starts a new
     # ~_k class
     for k, n in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
         w = gen_wkn(k, n)
         alphabet = tuple(f"a{i}" for i in range(1, n + 1))
-        assert subwords_up_to_k(w, k, alphabet).members == frozenset(
-            all_words(alphabet, k)
-        )
+        assert subwords_up_to_k(w, k) == frozenset(all_words(alphabet, k))
         seen = set()
         for i in range(len(w) + 1):
-            members = subwords_up_to_k(w[:i], k, alphabet).members
+            members = subwords_up_to_k(w[:i], k)
             assert members not in seen
             seen.add(members)
 
@@ -176,7 +187,7 @@ def test_no_longer_word_with_distinct_prefixes():
     alphabet = ("a1", "a2")
     target = pkn(2, 2) + 1
     for w in itertools.product(alphabet, repeat=target):
-        classes = {subwords_up_to_k(w[:i], 2, alphabet).members for i in range(target + 1)}
+        classes = {subwords_up_to_k(w[:i], 2) for i in range(target + 1)}
         assert len(classes) < target + 1, w
 
 

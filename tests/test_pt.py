@@ -24,9 +24,12 @@ from ptlang import (
     is_kpt_oracle,
     certify_pt_nfa,
     make_automaton,
+    min_k,
     minimize,
     satisfies_ums,
+    verify_pair,
 )
+from ptlang.cli import parse_automaton
 from ptlang.pt import find_confluence_violation, find_ums_violation
 
 
@@ -147,3 +150,33 @@ def test_pt_implies_kpt_at_depth():
         checked += 1
         assert is_kpt_oracle(m, depth(m)).verdict == "yes"
     assert checked >= 20
+
+
+# An NFA that is not PT: its minimal DFA has the cycle {q2,q4} b {q3,q4} a
+# {q4,q5} a {q2,q4}.  A cycle check that keeps one subset per minimal state,
+# the first one found, misses it: the state of {q2,q4} is first reached at
+# the equivalent subset {q2}, which is not on the cycle.
+CYCLIC_NFA = """\
+alphabet: a b
+states: q0 q1 q2 q3 q4 q5
+initial: q1 q4
+accepting: q2 q3
+q1 a q3
+q1 b q2
+q2 a q0
+q2 b q3
+q3 a q5
+q4 a q4
+q5 a q2
+q5 b q4
+"""
+
+
+def test_cycle_through_non_representative_states_is_not_pt():
+    a = parse_automaton(CYCLIC_NFA)
+    assert not is_pt(a)
+    assert min_k(a) is None
+    m = minimize(determinize(a))
+    for k in range(1, 5):
+        w = ("b", "b") + ("a", "a", "b") * k + ("a",)
+        assert verify_pair(m, k, w, w + ("a",))

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -9,9 +10,7 @@ from conftest import all_words, brute_subwords
 
 from ptlang import (
     InputError,
-    SubwordSet,
     canonical_automaton,
-    class_successor,
     depth,
     embeds,
     gen_wk,
@@ -22,7 +21,7 @@ from ptlang import (
     reduce_word,
     subwords_up_to_k,
 )
-from ptlang.subwords import serialize_subword_set
+from ptlang.subwords import EPSILON_CLASS, class_edges, class_pieces
 
 words_ab = st.lists(st.sampled_from("ab"), max_size=10).map(tuple)
 words_abc = st.lists(st.sampled_from("abc"), max_size=10).map(tuple)
@@ -66,25 +65,23 @@ def test_embeds_transitive_with_concat(v, w):
 
 def test_subwords_of_empty_word():
     for k in range(4):
-        assert subwords_up_to_k((), k).members == frozenset({()})
+        assert subwords_up_to_k((), k) == frozenset({()})
 
 
 def test_subwords_full_set_example():
     w = ("a1", "a1", "a2", "a1", "a2")
-    s = subwords_up_to_k(w, 2, ("a1", "a2"))
-    assert s.members == frozenset(all_words(("a1", "a2"), 2))
+    assert subwords_up_to_k(w, 2) == frozenset(all_words(("a1", "a2"), 2))
 
 
 def test_subwords_of_letter_powers():
     for m in range(6):
         for k in range(5):
-            s = subwords_up_to_k(("a",) * m, k)
-            assert len(s.members) == min(m, k) + 1
+            assert len(subwords_up_to_k(("a",) * m, k)) == min(m, k) + 1
 
 
 @given(words_abc, st.integers(min_value=0, max_value=3))
 def test_subwords_match_brute_force(w, k):
-    assert subwords_up_to_k(w, k).members == brute_subwords(w, k)
+    assert subwords_up_to_k(w, k) == brute_subwords(w, k)
 
 
 def test_k_equivalent_at_zero():
@@ -130,34 +127,45 @@ def test_k_equivalent_matches_brute_force(pair, k):
 @given(insertion_pairs(), st.integers(min_value=0, max_value=4))
 def test_k_equivalent_matches_sets_on_insertions(pair, k):
     w1, w2 = pair
-    same = subwords_up_to_k(w1, k).members == subwords_up_to_k(w2, k).members
+    same = subwords_up_to_k(w1, k) == subwords_up_to_k(w2, k)
     assert k_equivalent(w1, w2, k) == same
     assert k_equivalent(w2, w1, k) == same
 
 
-def test_class_successor_basics():
-    start = SubwordSet(2, ("a", "b"), frozenset({()}))
-    stepped = class_successor(start, "a")
-    assert stepped.members == frozenset({(), ("a",)})
-    with pytest.raises(InputError):
-        class_successor(start, "z")
+@pytest.mark.parametrize("letters, k", [("ab", 0), ("ab", 3), ("abc", 2), ("ba", 3)])
+def test_class_edges_follow_appended_letters(letters, k):
+    # each edge appends its letter to the first access word of its class,
+    # and the classes are the sub_k sets of the words up to length P(k, n)
+    alphabet = tuple(letters)
+    access = {EPSILON_CLASS: ()}
+    for cls, a, nxt, first_visit in class_edges(alphabet, k):
+        w = access[cls]
+        assert cls == subwords_up_to_k(w, k)
+        assert nxt == subwords_up_to_k(w + (a,), k)
+        assert first_visit == (nxt not in access)
+        access.setdefault(nxt, w + (a,))
+    bound = math.comb(k + len(alphabet), k) - 1
+    assert set(access) == {subwords_up_to_k(w, k) for w in all_words(alphabet, bound)}
 
 
-def test_class_successor_example_abb():
-    s = subwords_up_to_k(("a", "b"), 2, ("a", "b"))
-    assert class_successor(s, "b").members == subwords_up_to_k(("a", "b", "b"), 2).members
+@st.composite
+def sub_k_sets(draw):
+    letters = tuple(draw(st.sampled_from(["a", "ab", "abc"])))
+    k = draw(st.integers(min_value=0, max_value=3))
+    w = draw(st.lists(st.sampled_from(letters), max_size=10).map(tuple))
+    return letters, k, subwords_up_to_k(w, k)
 
 
-def test_class_successor_absorbing_on_full_set():
-    full = SubwordSet(2, ("a", "b"), frozenset(all_words(("a", "b"), 2)))
-    for letter in ("a", "b"):
-        assert class_successor(full, letter).members == full.members
-
-
-@given(words_ab, st.sampled_from("ab"), st.integers(min_value=0, max_value=3))
-def test_class_successor_tracks_append(w, a, k):
-    s = subwords_up_to_k(w, k, ("a", "b"))
-    assert class_successor(s, a).members == subwords_up_to_k(w + (a,), k).members
+@given(sub_k_sets())
+def test_class_pieces_match_definition(case):
+    alphabet, k, members = case
+    maximal = {w for w in members if w and not any(u != w and embeds(w, u) for u in members)}
+    missing = {
+        v
+        for v in all_words(alphabet, k)
+        if v not in members and all(v[:i] + v[i + 1 :] in members for i in range(len(v)))
+    }
+    assert class_pieces(members, alphabet, k) == (maximal, missing)
 
 
 def test_canonical_automaton_single_letter():
@@ -205,7 +213,7 @@ def test_reduce_word_equivalent_with_growing_prefixes(w, k):
     reduced = reduce_word(w, k)
     assert k_equivalent(w, reduced, k)
     prefix_classes = [
-        subwords_up_to_k(reduced[:i], k).members for i in range(len(reduced) + 1)
+        subwords_up_to_k(reduced[:i], k) for i in range(len(reduced) + 1)
     ]
     for earlier, later in zip(prefix_classes, prefix_classes[1:]):
         assert earlier < later
@@ -221,7 +229,7 @@ def test_reduce_word_length_bound_for_full_words():
         w = gen_wkn(k, n) * 2
         reduced = reduce_word(w, k)
         full = frozenset(all_words(alphabet, k))
-        assert subwords_up_to_k(reduced, k, alphabet).members == full
+        assert subwords_up_to_k(reduced, k) == full
         assert len(reduced) <= pkn(k, n)
 
 
@@ -231,8 +239,3 @@ def test_k_equivalence_is_a_congruence(u, v, x, k):
     if k_equivalent(u, v, k):
         assert k_equivalent(u + x, v + x, k)
         assert k_equivalent(x + u, x + v, k)
-
-
-def test_subword_set_serialization():
-    s = subwords_up_to_k(("b", "a"), 2, ("a", "b"))
-    assert serialize_subword_set(s) == "-\na\nb\nb a"
