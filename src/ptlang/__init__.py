@@ -33,7 +33,6 @@ from ptlang.subwords import (
 )
 from ptlang.pt import (
     certify_pt_nfa,
-    is_locally_confluent,
     is_pt,
     is_pt_min_dfa,
     satisfies_ums,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 Word = tuple[str, ...]
 
@@ -139,33 +139,6 @@ def make_automaton(
     return Automaton(state_set, letters, frozen, init, acc)
 
 
-def _subset_construction(
-    a: Automaton, name: Callable[[frozenset[str]], str]
-) -> Optional[Automaton]:
-    """The subset construction with states named by `name`, or None as soon as
-    two reachable subsets get the same name."""
-    start = a.initials
-    seen: dict[frozenset[str], str] = {start: name(start)}
-    names = set(seen.values())
-    queue = deque([start])
-    triples: list[tuple[str, str, str]] = []
-    while queue:
-        current = queue.popleft()
-        for letter in a.alphabet:
-            nxt = frozenset(
-                itertools.chain.from_iterable(a.targets(q, letter) for q in current)
-            )
-            if nxt not in seen:
-                seen[nxt] = label = name(nxt)
-                if label in names:
-                    return None
-                names.add(label)
-                queue.append(nxt)
-            triples.append((seen[current], letter, seen[nxt]))
-    accepting = {state for subset, state in seen.items() if subset & a.accepting}
-    return make_automaton(seen.values(), a.alphabet, triples, [seen[start]], accepting)
-
-
 def determinize(a: Automaton) -> Automaton:
     """Subset construction: a deterministic complete language-equivalent DFA.
 
@@ -173,13 +146,26 @@ def determinize(a: Automaton) -> Automaton:
     lists; the empty subset acts as the sink when it is reachable.  Should two
     subsets print alike, backslashes, commas and braces in members are escaped.
     """
-    dfa = _subset_construction(a, lambda s: "{" + ",".join(sorted(s)) + "}")
-    if dfa is None:
+    start = a.initials
+    index: dict[frozenset[str], int] = {start: 0}
+    subsets = [start]
+    edges: list[tuple[int, str, int]] = []
+    for i, current in enumerate(subsets):
+        for letter in a.alphabet:
+            nxt = frozenset(
+                itertools.chain.from_iterable(a.targets(q, letter) for q in current)
+            )
+            if nxt not in index:
+                index[nxt] = len(subsets)
+                subsets.append(nxt)
+            edges.append((i, letter, index[nxt]))
+    names = ["{" + ",".join(sorted(s)) + "}" for s in subsets]
+    if len(set(names)) < len(names):
         escape = str.maketrans({c: "\\" + c for c in "\\,{}"})
-        dfa = _subset_construction(
-            a, lambda s: "{" + ",".join(m.translate(escape) for m in sorted(s)) + "}"
-        )
-    return dfa
+        names = ["{" + ",".join(m.translate(escape) for m in sorted(s)) + "}" for s in subsets]
+    accepting = [names[i] for i, s in enumerate(subsets) if s & a.accepting]
+    triples = [(names[i], letter, names[j]) for i, letter, j in edges]
+    return make_automaton(names, a.alphabet, triples, [names[0]], accepting)
 
 
 def minimize(a: Automaton) -> Automaton:

@@ -1,16 +1,16 @@
 """Deciding plain piecewise testability.
 
 A minimal complete DFA recognizes a PT language iff it is partially ordered
-and locally confluent, equivalently iff it is partially ordered and each
-state is the unique maximal state of its component in the graph restricted
-to its self-loop letters (the UMS property).  The UMS form also yields a
+and each state is the unique maximal state of its component in the graph
+restricted to its self-loop letters (the UMS property).  Being partially
+ordered and locally confluent is an equivalent condition; the tests check
+the UMS decision against a word search for it.  The UMS form also yields a
 sound certificate on complete partially ordered NFAs, with no
 determinization.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from ptlang.automata import (
@@ -19,44 +19,7 @@ from ptlang.automata import (
     determinize,
     is_partially_ordered,
     minimize,
-    self_loop_alphabet,
 )
-
-
-def find_confluence_violation(a: Automaton) -> Optional[tuple[str, str, str]]:
-    """A triple (q, a, b) from which q.a and q.b cannot be rejoined over {a,b}*.
-
-    Requires a deterministic complete automaton.  Returns None when the DFA
-    is locally confluent.  Each triple is settled by a BFS over state pairs
-    under synchronized letters restricted to {a, b}.
-    """
-    if not a.deterministic or not a.complete:
-        raise ContractError("local confluence is checked on deterministic complete automata")
-    letters = a.alphabet
-    for q in sorted(a.states):
-        for i, x in enumerate(letters):
-            for y in letters[i + 1 :]:
-                start = (a.dstep(q, x), a.dstep(q, y))
-                seen = {start}
-                queue = deque([start])
-                joined = False
-                while queue and not joined:
-                    p1, p2 = queue.popleft()
-                    if p1 == p2:
-                        joined = True
-                        break
-                    for c in (x, y):
-                        nxt = (a.dstep(p1, c), a.dstep(p2, c))
-                        if nxt not in seen:
-                            seen.add(nxt)
-                            queue.append(nxt)
-                if not joined:
-                    return (q, x, y)
-    return None
-
-
-def is_locally_confluent(a: Automaton) -> bool:
-    return find_confluence_violation(a) is None
 
 
 def find_ums_violation(a: Automaton) -> Optional[tuple[str, str]]:
@@ -70,30 +33,34 @@ def find_ums_violation(a: Automaton) -> Optional[tuple[str, str]]:
     """
     if not is_partially_ordered(a):
         raise ContractError("the UMS property is defined on partially ordered automata")
+    # The edges between distinct states, listed once, each labelled with the
+    # bit set of its letters: out-edges, and both directions for components.
+    bit = {letter: 1 << i for i, letter in enumerate(a.alphabet)}
+    loops = dict.fromkeys(a.states, 0)
+    out: dict[str, dict[str, int]] = {q: {} for q in a.states}
+    both: dict[str, dict[str, int]] = {q: {} for q in a.states}
+    for (src, letter), dsts in a.transitions.items():
+        for dst in dsts:
+            if dst == src:
+                loops[src] |= bit[letter]
+            else:
+                out[src][dst] = out[src].get(dst, 0) | bit[letter]
+                both[src][dst] = both[src].get(dst, 0) | bit[letter]
+                both[dst][src] = both[dst].get(src, 0) | bit[letter]
     for p in sorted(a.states):
-        gamma = self_loop_alphabet(a, p)
-        # Edges of G(A, gamma), undirected view for components.
-        out: dict[str, set[str]] = {q: set() for q in a.states}
-        und: dict[str, set[str]] = {q: set() for q in a.states}
-        for (src, letter), dsts in a.transitions.items():
-            if letter not in gamma:
-                continue
-            for dst in dsts:
-                out[src].add(dst)
-                und[src].add(dst)
-                und[dst].add(src)
-        component = {p}
-        queue = deque([p])
-        while queue:
-            q = queue.popleft()
-            for r in und[q]:
-                if r not in component:
-                    component.add(r)
-                    queue.append(r)
-        maximal = sorted(q for q in component if not (out[q] - {q}))
+        gamma = loops[p]
+        component = [p]
+        seen = {p}
+        maximal = []
+        for q in component:
+            for r, letters in both[q].items():
+                if letters & gamma and r not in seen:
+                    seen.add(r)
+                    component.append(r)
+            if not any(letters & gamma for letters in out[q].values()):
+                maximal.append(q)
         if maximal != [p]:
-            other = next(q for q in maximal if q != p)
-            return (p, other)
+            return (p, min(q for q in maximal if q != p))
     return None
 
 
@@ -102,22 +69,22 @@ def satisfies_ums(a: Automaton) -> bool:
 
 
 def is_pt_min_dfa(a: Automaton) -> bool:
-    """Piecewise testability of the language of a minimal complete DFA."""
-    return is_partially_ordered(a) and is_locally_confluent(a)
+    """Piecewise testability of the language of a minimal complete DFA:
+    partially ordered, with the UMS property."""
+    try:
+        return find_ums_violation(a) is None
+    except ContractError:  # not partially ordered
+        return False
 
 
 def certify_pt_nfa(a: Automaton) -> bool:
     """Sound PT certificate for NFAs, with no determinization.
 
-    True means the language is certainly PT: the NFA is complete, partially
-    ordered and satisfies the UMS property.  False is inconclusive; callers
-    fall back to the minimal-DFA check.
+    True means the language is certainly PT: the NFA is complete and passes
+    the test of `is_pt_min_dfa`, which is sound on complete NFAs.  False is
+    inconclusive; callers fall back to the minimal-DFA check.
     """
-    if not a.complete or not a.states:
-        return False
-    if not is_partially_ordered(a):
-        return False
-    return satisfies_ums(a)
+    return bool(a.states) and a.complete and is_pt_min_dfa(a)
 
 
 def is_pt(a: Automaton) -> bool:

@@ -30,6 +30,23 @@ def languages_agree(a: Automaton, b: Automaton, words) -> bool:
     return all(a.accepts(w) == b.accepts(w) for w in words)
 
 
+def brute_locally_confluent(a: Automaton, max_len=8) -> bool:
+    """Word-search reference for local confluence of a complete DFA: for each
+    state q and letters x, y, some word over {x, y} takes q.x and q.y to the
+    same state.  With partial order, this is piecewise testability of a
+    minimal DFA (Klima & Polak 2013), the condition the UMS test decides."""
+    for q in a.states:
+        for x in a.alphabet:
+            for y in a.alphabet:
+                p1, p2 = a.dstep(q, x), a.dstep(q, y)
+                if not any(
+                    a.dstate_from(p1, w) == a.dstate_from(p2, w)
+                    for w in all_words((x, y), max_len)
+                ):
+                    return False
+    return True
+
+
 def has_cycle_dfs(a: Automaton) -> bool:
     """Brute-force cycle detection (self-loops ignored), independent of the
     library's Kahn-style check."""

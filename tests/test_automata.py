@@ -316,3 +316,12 @@ def test_monoid_associativity_and_identity():
                     left = TransitionMonoid.compose(TransitionMonoid.compose(x, y), z)
                     right = TransitionMonoid.compose(x, TransitionMonoid.compose(y, z))
                     assert left == right
+
+
+def test_determinize_escapes_names_only_on_collision():
+    # Without a collision the subsets keep their plain names, separators and all.
+    plain = make_automaton(["s", "a,b"], ("x",), [("s", "x", "a,b")], ["s"], ["a,b"])
+    assert determinize(plain).states == {"{s}", "{a,b}", "{}"}
+    # With one, every name is escaped, so {a, b} and {a,b} print apart.
+    d = determinize(_collision("s", "a", "b", "a,b"))
+    assert d.states == {"{s}", "{a,b}", "{a\\,b}", "{}"}

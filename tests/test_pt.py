@@ -1,9 +1,8 @@
-import itertools
 import random
 
 import pytest
 from conftest import (
-    all_words,
+    brute_locally_confluent,
     dfa_ab_star,
     dfa_only_epsilon,
     dfa_parity,
@@ -17,7 +16,7 @@ from ptlang import (
     depth,
     determinize,
     gen_ak,
-    is_locally_confluent,
+    gen_intersection_nfa,
     is_partially_ordered,
     is_pt,
     is_pt_min_dfa,
@@ -27,41 +26,59 @@ from ptlang import (
     min_k,
     minimize,
     satisfies_ums,
+    self_loop_alphabet,
     verify_pair,
 )
 from ptlang.cli import parse_automaton
-from ptlang.pt import find_confluence_violation, find_ums_violation
+from ptlang.pt import find_ums_violation
 
 
-def brute_locally_confluent(a, max_len=8):
-    """Word-search reference for local confluence, independent of the
-    pair-BFS in the library."""
-    for q in a.states:
-        for x in a.alphabet:
-            for y in a.alphabet:
-                p1, p2 = a.dstep(q, x), a.dstep(q, y)
-                if not any(
-                    a.dstate_from(p1, w) == a.dstate_from(p2, w)
-                    for w in all_words((x, y), max_len)
-                ):
-                    return False
-    return True
+def pt_by_confluence(m):
+    """PT of a minimal DFA by partial order and local confluence (word search)."""
+    return is_partially_ordered(m) and brute_locally_confluent(m)
+
+
+def reference_ums_violation(a):
+    """The UMS test written out state by state: for each p, rebuild the graph
+    restricted to p's self-loop letters, take p's component in both
+    directions, and list its states with no edge to another state."""
+    for p in sorted(a.states):
+        gamma = self_loop_alphabet(a, p)
+        out = {q: set() for q in a.states}
+        und = {q: set() for q in a.states}
+        for (src, letter), dsts in a.transitions.items():
+            if letter in gamma:
+                for dst in dsts:
+                    out[src].add(dst)
+                    und[src].add(dst)
+                    und[dst].add(src)
+        component, frontier = {p}, [p]
+        while frontier:
+            for r in und[frontier.pop()] - component:
+                component.add(r)
+                frontier.append(r)
+        maximal = sorted(q for q in component if not (out[q] - {q}))
+        if maximal != [p]:
+            return (p, next(q for q in maximal if q != p))
+    return None
 
 
 def test_one_state_dfa_is_confluent():
     one = make_automaton(["q"], ["a", "b"], [("q", "a", "q"), ("q", "b", "q")], ["q"], ["q"])
-    assert is_locally_confluent(one)
+    assert pt_by_confluence(one)
+    assert is_pt_min_dfa(one) == pt_by_confluence(one)
 
 
 def test_epsilon_dfa_is_confluent():
-    assert is_locally_confluent(dfa_only_epsilon(("a", "b")))
+    m = dfa_only_epsilon(("a", "b"))
+    assert pt_by_confluence(m)
+    assert is_pt_min_dfa(m) == pt_by_confluence(m)
 
 
 def test_ab_star_confluence_and_pt():
     a = dfa_ab_star()
-    # pair-BFS verdict agrees with the brute-force word search
-    assert is_locally_confluent(a) == brute_locally_confluent(a)
-    # and the PT pipeline rejects the language at the partial-order stage
+    assert is_pt_min_dfa(a) == pt_by_confluence(a)
+    # the PT pipeline rejects the language at the partial-order stage
     assert not is_partially_ordered(a)
     assert not is_pt(a)
 
@@ -70,7 +87,7 @@ def test_confluence_matches_brute_force_on_random_dfas():
     rng = random.Random(17)
     for _ in range(100):
         a = random_min_dfa(rng, max_states=5)
-        assert is_locally_confluent(a) == brute_locally_confluent(a)
+        assert is_pt_min_dfa(a) == pt_by_confluence(a)
 
 
 def test_ums_on_a2_and_trivia():
@@ -125,7 +142,22 @@ def test_confluence_iff_ums_on_partially_ordered_dfas():
         m = random_min_dfa(rng, max_states=6, letters=("a", "b", "c"))
         if not is_partially_ordered(m):
             continue
-        assert is_locally_confluent(m) == satisfies_ums(m), find_confluence_violation(m)
+        assert is_pt_min_dfa(m) == pt_by_confluence(m), find_ums_violation(m)
+
+
+def test_ums_matches_state_by_state_reference():
+    rng = random.Random(53)
+    cases = [random_po_complete_nfa(rng, max_states=5) for _ in range(500)]
+    drawn = (random_min_dfa(rng, max_states=6, letters=("a", "b", "c")) for _ in range(500))
+    cases += [m for m in drawn if is_partially_ordered(m)]
+    cases += [complete_with_sink(gen_ak(k)) for k in range(6)]
+    cases += [gen_intersection_nfa(tuple(f"a{i}" for i in range(n))) for n in range(1, 7)]
+    violations = 0
+    for a in cases:
+        expected = reference_ums_violation(a)
+        assert find_ums_violation(a) == expected, a
+        violations += expected is not None
+    assert 0 < violations < len(cases)
 
 
 def test_nfa_certificate_soundness():
