@@ -2,7 +2,9 @@
 
 A single :class:`Automaton` type covers both NFAs and DFAs; determinism is a
 derived property, never a separate type.  All operations are pure: they never
-mutate their input and return fresh automata.
+mutate their input and return fresh automata.  Algorithms on complete DFAs
+read one cached integer view of them, `Automaton.table`, and the library's
+DFA constructions build their results from integer rows (`dfa_from_rows`).
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 Word = tuple[str, ...]
 
@@ -40,6 +43,28 @@ class BudgetExceededError(RuntimeError):
         self.reached = reached
 
 
+class DfaTable(NamedTuple):
+    """The integer view of a complete DFA: state i is names[i], the names in
+    sorted order, and rows[i][j] is the successor of state i under the j-th
+    letter of the alphabet."""
+
+    names: tuple[str, ...]
+    rows: tuple[tuple[int, ...], ...]
+    start: int
+    accepting: frozenset[int]
+
+    def reachable(self, sources: Iterable[int]) -> set[int]:
+        """The states reachable from `sources`, the sources included."""
+        seen = set(sources)
+        stack = list(seen)
+        while stack:
+            for nxt in self.rows[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
+
+
 @dataclass(frozen=True)
 class Automaton:
     """Nondeterministic finite automaton (a DFA is a validated restriction).
@@ -54,17 +79,27 @@ class Automaton:
     initials: frozenset[str]
     accepting: frozenset[str]
 
-    @property
+    @cached_property
     def deterministic(self) -> bool:
-        return len(self.initials) == 1 and all(
-            len(dsts) <= 1 for dsts in self.transitions.values()
-        )
+        return len(self.initials) == 1 and all(len(dsts) <= 1 for dsts in self.transitions.values())
 
-    @property
+    @cached_property
     def complete(self) -> bool:
-        return all(
-            self.transitions.get((q, a)) for q in self.states for a in self.alphabet
+        return all(self.transitions.get((q, a)) for q in self.states for a in self.alphabet)
+
+    @cached_property
+    def table(self) -> DfaTable:
+        """The state table every complete-DFA algorithm reads."""
+        if not (self.deterministic and self.complete):
+            raise ContractError("this operation requires a deterministic complete automaton")
+        names = tuple(sorted(self.states))
+        index = {q: i for i, q in enumerate(names)}
+        rows = tuple(
+            tuple(index[q] for a in self.alphabet for q in self.transitions[p, a])
+            for p in names
         )
+        (start,) = self.initials
+        return DfaTable(names, rows, index[start], frozenset(index[q] for q in self.accepting))
 
     def targets(self, q: str, a: str) -> frozenset[str]:
         return self.transitions.get((q, a), frozenset())
@@ -139,6 +174,22 @@ def make_automaton(
     return Automaton(state_set, letters, frozen, init, acc)
 
 
+def dfa_from_rows(
+    names: Sequence[str], alphabet: tuple[str, ...], rows: Sequence[Sequence[int]],
+    start: int, accepting: Iterable[int],
+) -> Automaton:
+    """The DFA with state i named names[i] and rows[i][j] its successor under
+    alphabet[j].  The library's constructions build their results with it;
+    data from outside goes through make_automaton, which validates it."""
+    targets = [frozenset((name,)) for name in names]
+    transitions = {
+        (name, letter): targets[j] for name, row in zip(names, rows) for letter, j in zip(alphabet, row)
+    }
+    return Automaton(
+        frozenset(names), alphabet, transitions, targets[start], frozenset(names[i] for i in accepting)
+    )
+
+
 def determinize(a: Automaton) -> Automaton:
     """Subset construction: a deterministic complete language-equivalent DFA.
 
@@ -149,8 +200,9 @@ def determinize(a: Automaton) -> Automaton:
     start = a.initials
     index: dict[frozenset[str], int] = {start: 0}
     subsets = [start]
-    edges: list[tuple[int, str, int]] = []
-    for i, current in enumerate(subsets):
+    rows: list[list[int]] = []
+    for current in subsets:
+        row = []
         for letter in a.alphabet:
             nxt = frozenset(
                 itertools.chain.from_iterable(a.targets(q, letter) for q in current)
@@ -158,14 +210,14 @@ def determinize(a: Automaton) -> Automaton:
             if nxt not in index:
                 index[nxt] = len(subsets)
                 subsets.append(nxt)
-            edges.append((i, letter, index[nxt]))
+            row.append(index[nxt])
+        rows.append(row)
     names = ["{" + ",".join(sorted(s)) + "}" for s in subsets]
     if len(set(names)) < len(names):
         escape = str.maketrans({c: "\\" + c for c in "\\,{}"})
         names = ["{" + ",".join(m.translate(escape) for m in sorted(s)) + "}" for s in subsets]
-    accepting = [names[i] for i, s in enumerate(subsets) if s & a.accepting]
-    triples = [(names[i], letter, names[j]) for i, letter, j in edges]
-    return make_automaton(names, a.alphabet, triples, [names[0]], accepting)
+    accepting = [i for i, s in enumerate(subsets) if s & a.accepting]
+    return dfa_from_rows(names, a.alphabet, rows, 0, accepting)
 
 
 def minimize(a: Automaton) -> Automaton:
@@ -175,53 +227,27 @@ def minimize(a: Automaton) -> Automaton:
     first.  Each block of merged states is named after its lexicographically
     smallest member, which keeps names short and the result reproducible.
     """
-    if not a.deterministic:
-        raise ContractError("minimize requires a deterministic automaton")
-    if not a.complete:
-        raise ContractError("minimize requires a complete automaton")
-
-    start = next(iter(a.initials))
-    reachable = [start]
-    seen = {start}
-    for q in reachable:
-        for letter in a.alphabet:
-            nxt = a.dstep(q, letter)
-            if nxt not in seen:
-                seen.add(nxt)
-                reachable.append(nxt)
-
-    index = {q: i for i, q in enumerate(reachable)}
-    letter_count = len(a.alphabet)
-    succ = [
-        [index[a.dstep(q, letter)] for letter in a.alphabet] for q in reachable
-    ]
-
-    block = [1 if q in a.accepting else 0 for q in reachable]
+    t = a.table
+    reachable = sorted(t.reachable((t.start,)))
+    # Moore refinement numbers the blocks in the order of their least
+    # members; names sort like their indices.
+    block = [1 if q in t.accepting else 0 for q in range(len(t.names))]
     while True:
         signatures: dict[tuple[int, ...], int] = {}
-        new_block = []
-        for i in range(len(reachable)):
-            sig = (block[i], *(block[succ[i][j]] for j in range(letter_count)))
-            new_block.append(signatures.setdefault(sig, len(signatures)))
+        new_block = block[:]
+        for q in reachable:
+            sig = (block[q], *(block[nxt] for nxt in t.rows[q]))
+            new_block[q] = signatures.setdefault(sig, len(signatures))
         if new_block == block:
             break
         block = new_block
-
-    members: dict[int, list[str]] = {}
-    for i, q in enumerate(reachable):
-        members.setdefault(block[i], []).append(q)
-    name = {b: min(qs) for b, qs in members.items()}
-    triples = []
-    emitted = set()
-    for i in range(len(reachable)):
-        b = block[i]
-        if b in emitted:
-            continue
-        emitted.add(b)
-        for j, letter in enumerate(a.alphabet):
-            triples.append((name[b], letter, name[block[succ[i][j]]]))
-    accepting = {name[block[i]] for i, q in enumerate(reachable) if q in a.accepting}
-    return make_automaton(name.values(), a.alphabet, triples, [name[block[index[start]]]], accepting)
+    least: dict[int, int] = {}
+    for q in reachable:
+        least.setdefault(block[q], q)
+    rows = [[block[nxt] for nxt in t.rows[q]] for q in least.values()]
+    accepting = [b for b, q in least.items() if q in t.accepting]
+    names = [t.names[q] for q in least.values()]
+    return dfa_from_rows(names, a.alphabet, rows, block[t.start], accepting)
 
 
 def complete_with_sink(a: Automaton, sink_name: str = "sink") -> Automaton:
@@ -332,15 +358,11 @@ def transition_monoid(
     a: Automaton, budget: int = DEFAULT_MONOID_BUDGET
 ) -> TransitionMonoid:
     """Generate the transition monoid of a deterministic complete automaton."""
-    if not a.deterministic or not a.complete:
-        raise ContractError("transition_monoid requires a deterministic complete automaton")
-    order = tuple(sorted(a.states))
-    index = {q: i for i, q in enumerate(order)}
+    t = a.table
     generators = {
-        letter: tuple(index[a.dstep(q, letter)] for q in order)
-        for letter in a.alphabet
+        letter: tuple(row[j] for row in t.rows) for j, letter in enumerate(a.alphabet)
     }
-    identity = tuple(range(len(order)))
+    identity = tuple(range(len(t.names)))
     elements = {identity}
     queue = deque([identity])
     while queue:
@@ -352,7 +374,7 @@ def transition_monoid(
                     raise BudgetExceededError(budget, len(elements) + 1, "monoid elements")
                 elements.add(composed)
                 queue.append(composed)
-    return TransitionMonoid(order, frozenset(elements), generators)
+    return TransitionMonoid(t.names, frozenset(elements), generators)
 
 
 def check_identity(

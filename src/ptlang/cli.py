@@ -270,27 +270,17 @@ def cmd_monoid(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.family in ("wk", "wkn"):
+        word = gen_wk(args.k) if args.family == "wk" else gen_wkn(args.k, args.n)
+        _emit(args, {"word": word_to_str(word)}, "word")
+        return EXIT_YES
     if args.family == "ak":
-        report = {"automaton": serialize_automaton(gen_ak(args.k))}
-        bare = "automaton"
-    elif args.family == "wk":
-        report = {"word": word_to_str(gen_wk(args.k))}
-        bare = "word"
-    elif args.family == "wkn":
-        report = {"word": word_to_str(gen_wkn(args.k, args.n))}
-        bare = "word"
+        a = gen_ak(args.k)
     elif args.family == "cap":
-        letters = tuple(f"a{i}" for i in range(1, args.n + 1))
-        report = {"automaton": serialize_automaton(gen_intersection_nfa(letters))}
-        bare = "automaton"
+        a = gen_intersection_nfa(tuple(f"a{i}" for i in range(1, args.n + 1)))
     else:  # tight
-        report = {
-            "automaton": serialize_automaton(
-                gen_tight_depth_dfa(args.k, args.n, args.budget)
-            )
-        }
-        bare = "automaton"
-    _emit(args, report, bare)
+        a = gen_tight_depth_dfa(args.k, args.n, args.budget)
+    _emit(args, {"automaton": serialize_automaton(a)}, "automaton")
     return EXIT_YES
 
 

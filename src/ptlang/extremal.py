@@ -14,6 +14,9 @@ from itertools import chain, combinations
 from ptlang.automata import Automaton, InputError, Word, make_automaton
 from ptlang.subwords import DEFAULT_CLASS_BUDGET, canonical_automaton
 
+# The longest word gen_wk and gen_wkn build; longer ones would exhaust memory.
+MAX_WORD_LENGTH = 2**21
+
 
 def gen_ak(k: int) -> Automaton:
     """The depth-k NFA whose language is (k+1)-PT but not k-PT, while its
@@ -40,6 +43,8 @@ def gen_wk(k: int) -> Word:
     prefixes are accepted by gen_ak(k) and its odd prefixes are not."""
     if k < 0:
         raise InputError("k must be non-negative")
+    if 2 ** min(k + 1, 64) - 1 > MAX_WORD_LENGTH:  # |w_k| = 2^(k+1) - 1
+        raise InputError(f"w_{k} would have more than {MAX_WORD_LENGTH} letters")
     word: Word = ("a0",)
     for level in range(1, k + 1):
         word = word + (f"a{level}",) + word
@@ -80,6 +85,11 @@ def gen_wkn(k: int, n: int) -> Word:
     """
     if k < 1 or n < 1:
         raise InputError("k and n must be positive")
+    size = 1
+    for j in range(1, min(k, n) + 1):  # size = C(k+n, j) grows up to P(k, n) + 1
+        size = size * (k + n + 1 - j) // j
+        if size - 1 > MAX_WORD_LENGTH:
+            raise InputError(f"W({k},{n}) would have more than {MAX_WORD_LENGTH} letters")
     if n == 1:
         return ("a1",) * k
     row = [["a1"] * j for j in range(k + 1)]

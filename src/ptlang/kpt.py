@@ -8,7 +8,6 @@ states.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -77,71 +76,38 @@ class OracleAnswer:
     certificate: Optional[Certificate] = None
 
 
-def _require_min_dfa(a: Automaton, op: str) -> None:
-    if not a.deterministic or not a.complete:
-        raise ContractError(f"{op} expects a minimal complete DFA")
-
-
 def is_0pt(a: Automaton) -> bool:
     """A minimal DFA recognizes a 0-PT language iff it has a single state."""
-    _require_min_dfa(a, "is_0pt")
-    return len(a.states) == 1
+    return len(a.table.names) == 1
 
 
 def is_1pt(a: Automaton) -> bool:
     """Letter-level characterization of 1-PT on the minimal DFA:
     every transition target is stable under its letter, and letters commute."""
-    _require_min_dfa(a, "is_1pt")
-    for p in a.states:
-        for x in a.alphabet:
-            q = a.dstep(p, x)
-            if a.dstep(q, x) != q:
-                return False
-        for x in a.alphabet:
-            for y in a.alphabet:
-                if a.dstate_from(p, (x, y)) != a.dstate_from(p, (y, x)):
-                    return False
-    return True
-
-
-def reachable_containing(a: Automaton, letter: str) -> frozenset[str]:
-    """States reachable from the initial state by a word containing `letter`."""
-    if not a.deterministic:
-        raise ContractError("reachable_containing expects a DFA")
-    if letter not in a.alphabet:
-        raise InputError(f"unknown letter {letter!r}")
-    start = (next(iter(a.initials)), False)
-    seen = {start}
-    queue = deque([start])
-    found = set()
-    while queue:
-        q, flag = queue.popleft()
-        if flag:
-            found.add(q)
-        for c in a.alphabet:
-            nxt_state = a.dstep(q, c)
-            if nxt_state is None:
-                continue
-            nxt = (nxt_state, flag or c == letter)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(found)
+    rows = a.table.rows
+    return all(
+        rows[px][x] == px and all(rows[px][y] == rows[py][x] for y, py in enumerate(row))
+        for row in rows
+        for x, px in enumerate(row)
+    )
 
 
 def is_2pt(a: Automaton) -> bool:
     """2-PT on the minimal DFA: PT plus s.ba = s.aba for every letter a, every
     state s reachable by a word containing a, and every b in the alphabet or
     empty."""
-    _require_min_dfa(a, "is_2pt")
+    t = a.table
     if not is_pt_min_dfa(a):
         return False
-    for x in a.alphabet:
-        for s in reachable_containing(a, x):
-            for b in (*a.alphabet, None):
-                prefix = (b,) if b is not None else ()
-                if a.dstate_from(s, prefix + (x,)) != a.dstate_from(s, (x,) + prefix + (x,)):
-                    return False
+    rows = t.rows
+    reachable = t.reachable((t.start,))
+    for x in range(len(a.alphabet)):
+        for s in t.reachable({rows[q][x] for q in reachable}):
+            sx = rows[s][x]
+            if rows[sx][x] != sx or any(
+                rows[sb][x] != rows[sxb][x] for sb, sxb in zip(rows[s], rows[sx])
+            ):
+                return False
     return True
 
 
@@ -155,7 +121,6 @@ def is_3pt(
     Returns None when the monoid or the assignment space outgrows its
     budget; callers fall back to the generic oracle.
     """
-    _require_min_dfa(a, "is_3pt")
     try:
         monoid = transition_monoid(a, budget=monoid_budget)
     except BudgetExceededError:
@@ -172,12 +137,14 @@ def is_3pt(
 
 def _class_state_map(
     a: Automaton, k: int, budget: int
-) -> Union[Certificate, dict[ClassKey, tuple[str, Word]]]:
-    """Pair each ~_k class with the DFA state its first access word reaches:
-    the class-to-(state, access word) map when every class meets a single
-    state, or a Certificate for the first class caught meeting two."""
-    step = {key: next(iter(dsts)) for key, dsts in a.transitions.items()}
-    seen = {EPSILON_CLASS: (next(iter(a.initials)), ())}
+) -> Union[Certificate, dict[ClassKey, tuple[int, Word]]]:
+    """Pair each ~_k class with the DFA state (an index of `a.table`) its
+    first access word reaches: the class-to-(state, access word) map when
+    every class meets a single state, or a Certificate for the first class
+    caught meeting two."""
+    t = a.table
+    step = {(q, letter): nxt for q, row in enumerate(t.rows) for letter, nxt in zip(a.alphabet, row)}
+    seen = {EPSILON_CLASS: (t.start, ())}
     for cls, letter, nxt, first_visit in class_edges(a.alphabet, k, budget):
         q, w = seen[cls]
         nxt_state = step[q, letter]
@@ -187,7 +154,7 @@ def _class_state_map(
         else:
             prev_state, prev_word = seen[nxt]
             if prev_state != nxt_state:
-                return Certificate(k, prev_word, nxt_word, prev_state, nxt_state)
+                return Certificate(k, prev_word, nxt_word, t.names[prev_state], t.names[nxt_state])
     return seen
 
 
@@ -195,7 +162,6 @@ def is_kpt_oracle(
     a: Automaton, k: int, budget: int = DEFAULT_CLASS_BUDGET
 ) -> OracleAnswer:
     """Exact k-PT test on a minimal complete DFA by class/state reachability."""
-    _require_min_dfa(a, "is_kpt_oracle")
     try:
         outcome = _class_state_map(a, k, budget)
     except BudgetExceededError:
@@ -208,11 +174,14 @@ def is_kpt_oracle(
 def is_kpt(a: Automaton, k: int, budget: int = DEFAULT_CLASS_BUDGET) -> OracleAnswer:
     """Decide k-PT on a minimal complete DFA, cheapest check first.
 
-    k = 0..2 use the specialized deciders; k = 3 tries the monoid identities
-    and falls back to the oracle when they exceed their budget; larger k go
-    straight to the oracle.
+    k = 0..2 use the specialized deciders; k = 3 tries the monoid identities.
+    Before the oracle, a language that is not PT is "no" at every k, and a
+    PT one is k-PT for every k at least the depth of its minimal DFA.
     """
-    _require_min_dfa(a, "is_kpt")
+    if not a.deterministic or not a.complete:
+        raise ContractError("is_kpt expects a minimal complete DFA")
+    if k < 0:
+        raise InputError("k must be non-negative")
     if k == 0:
         return OracleAnswer("yes" if is_0pt(a) else "no")
     if k == 1:
@@ -223,6 +192,10 @@ def is_kpt(a: Automaton, k: int, budget: int = DEFAULT_CLASS_BUDGET) -> OracleAn
         verdict = is_3pt(a)
         if verdict is not None:
             return OracleAnswer("yes" if verdict else "no")
+    if not is_pt_min_dfa(a):
+        return OracleAnswer("no")
+    if k >= depth(a):
+        return OracleAnswer("yes")
     return is_kpt_oracle(a, k, budget)
 
 
@@ -282,15 +255,15 @@ def decompose(
     """Write the language of a k-PT minimal DFA as a union of clauses, one per
     accepted ~_k class: the maximal members are required, the minimal missing
     words are forbidden."""
-    _require_min_dfa(a, "decompose")
     outcome = _class_state_map(a, k, budget)
     if isinstance(outcome, Certificate):
         raise ContractError("decompose requires a k-PT language at this k")
+    accepting = a.table.accepting
     clauses = []
     for cls, (state, _word) in sorted(
         outcome.items(), key=lambda item: (len(item[1][1]), item[1][1])
     ):
-        if state in a.accepting:
+        if state in accepting:
             clauses.append(Clause(*class_pieces(cls, a.alphabet, k)))
     return PieceExpression(tuple(clauses))
 

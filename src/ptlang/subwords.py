@@ -18,7 +18,7 @@ from ptlang.automata import (
     BudgetExceededError,
     InputError,
     Word,
-    make_automaton,
+    dfa_from_rows,
 )
 
 DEFAULT_CLASS_BUDGET = 2 * 10**6
@@ -146,13 +146,15 @@ def canonical_automaton(
     letters = tuple(alphabet)
     if not letters:
         raise InputError("alphabet must be nonempty")
-    names = {EPSILON_CLASS: "c0"}
-    triples: list[tuple[str, str, str]] = []
-    for members, a, nxt, first_visit in class_edges(letters, k, budget):
+    # Edges come class by class in discovery order, letters in alphabet order.
+    index = {EPSILON_CLASS: 0}
+    successors: list[int] = []
+    for _members, _a, nxt, first_visit in class_edges(letters, k, budget):
         if first_visit:
-            names[nxt] = f"c{len(names)}"
-        triples.append((names[members], a, names[nxt]))
-    return make_automaton(names.values(), letters, triples, ["c0"], [])
+            index[nxt] = len(index)
+        successors.append(index[nxt])
+    rows = [successors[i : i + len(letters)] for i in range(0, len(successors), len(letters))]
+    return dfa_from_rows([f"c{i}" for i in range(len(index))], letters, rows, 0, ())
 
 
 def reduce_word(w: Word, k: int) -> Word:

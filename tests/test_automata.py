@@ -113,6 +113,57 @@ def test_minimize_rejects_nondeterministic_input():
         minimize(gen_ak(1))
 
 
+def _shuffled_complete_dfa(rng):
+    """A random complete DFA whose state names sort unlike their creation
+    order, with unreachable and equivalent states likely."""
+    names = rng.sample(["q0", "q1", "q10", "q2", "b", "a,b", "Z", "z"], rng.randint(1, 7))
+    letters = ("x", "y")
+    triples = [(q, c, rng.choice(names)) for q in names for c in letters]
+    return make_automaton(names, letters, triples, [names[0]], rng.sample(names, rng.randint(0, len(names))))
+
+
+def test_table_rows_agree_with_dstep():
+    rng = random.Random(37)
+    for _ in range(200):
+        a = _shuffled_complete_dfa(rng)
+        t = a.table
+        assert list(t.names) == sorted(a.states)
+        assert {t.names[t.start]} == a.initials
+        assert {t.names[q] for q in t.accepting} == a.accepting
+        for q, row in enumerate(t.rows):
+            assert [t.names[r] for r in row] == [a.dstep(t.names[q], c) for c in a.alphabet]
+
+
+def test_table_requires_a_complete_dfa():
+    with pytest.raises(ContractError):
+        gen_ak(1).table
+    partial = make_automaton(["p", "q"], ["a"], [("p", "a", "q")], ["p"], ["q"])
+    with pytest.raises(ContractError):
+        partial.table
+
+
+def test_minimize_names_each_state_after_its_least_member():
+    # Brute force: states with the same residual language, probed on every
+    # word up to the state count, merge into one named after the least.
+    rng = random.Random(41)
+    for _ in range(150):
+        a = _shuffled_complete_dfa(rng)
+        probes = list(all_words(a.alphabet, len(a.states)))
+        reachable = {a.dstate(w) for w in probes}
+
+        def residual(dfa, q):
+            return tuple(dfa.dstate_from(q, w) in dfa.accepting for w in probes)
+
+        merged = {}
+        for q in reachable:
+            merged.setdefault(residual(a, q), []).append(q)
+        m = minimize(a)
+        assert m.states == {min(qs) for qs in merged.values()}
+        assert m.initials == {min(merged[residual(a, a.dstate(()))])}
+        for q in m.states:
+            assert residual(m, q) == residual(a, q)
+
+
 def test_complete_with_sink():
     a2 = gen_ak(2)
     done = complete_with_sink(a2)

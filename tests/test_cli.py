@@ -225,6 +225,20 @@ def test_cli_gen_words(capsys):
     assert capsys.readouterr().out.strip() == "a1 a1 a2 a1 a2"
 
 
+@pytest.mark.parametrize("argv", [["gen", "wk", "21"], ["gen", "wkn", "30", "30"]])
+def test_cli_gen_refuses_words_beyond_the_length_cap(argv, capsys):
+    # w_21 has 2^22 - 1 letters and W(30, 30) has C(60, 30) - 1.
+    assert main(argv) == 2
+    assert "letters" in capsys.readouterr().err
+
+
+def test_cli_is_kpt_at_huge_k(tmp_path, capsys):
+    path = tmp_path / "a2.aut"
+    path.write_text(serialize_automaton(gen_ak(2)))
+    assert main(["is-kpt", "--k", "1000000", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "yes"
+
+
 @pytest.mark.parametrize("k, n", [(1200, 2), (2, 1200)])
 def test_cli_gen_wkn_beyond_recursion_depth(k, n, capsys):
     # each word has P(k, n) = 721,800 letters

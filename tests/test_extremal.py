@@ -148,6 +148,20 @@ def test_gen_wkn_base_cases():
     assert gen_wkn(2, 2) == ("a1", "a1", "a2", "a1", "a2")
 
 
+def test_generated_words_stop_at_the_length_cap():
+    # The cap is 2^21 letters: w_20 and W(2^21, 1) meet it, W(2046, 2) and
+    # W(2, 2046) have C(2048, 2) - 1 = 2,096,127 letters, one more letter
+    # or level goes beyond.
+    assert len(gen_wk(20)) == 2**21 - 1
+    assert len(gen_wkn(2**21, 1)) == 2**21
+    assert len(gen_wkn(2046, 2)) == len(gen_wkn(2, 2046)) == pkn(2046, 2)
+    with pytest.raises(InputError):
+        gen_wk(21)
+    for k, n in ((2**21 + 1, 1), (2047, 2), (2, 2047), (30, 30), (10**9, 10**9)):
+        with pytest.raises(InputError):
+            gen_wkn(k, n)
+
+
 def test_gen_wkn_length_matches_pkn():
     for k in range(1, 7):
         for n in range(1, 7):

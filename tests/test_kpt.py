@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from conftest import (
@@ -32,6 +33,7 @@ from ptlang import (
     verify_certificate,
     verify_pair,
 )
+from ptlang.cli import serialize_automaton
 
 
 def min_dfa(a):
@@ -57,6 +59,8 @@ def test_is_2pt_examples():
     assert is_2pt(dfa_piece(("a", "b"), ("a", "b")))
     assert is_2pt(dfa_only_epsilon())
     assert not is_2pt(dfa_piece(("a", "b", "a"), ("a", "b")))
+    # Over one letter only the empty b tells a^3 apart: s1.a = s2, s1.aa = s3.
+    assert not is_2pt(dfa_piece(("a", "a", "a"), ("a",)))
     assert not is_2pt(min_dfa(dfa_parity()))
 
 
@@ -99,12 +103,35 @@ def test_oracle_rejects_nfa():
 
 def test_specialized_deciders_agree_with_oracle():
     rng = random.Random(53)
+    # The 300 draws hold fewer than 100 distinct DFAs, and an oracle "yes"
+    # at k = 5 visits every ~_5 class, so each distinct DFA asks it once.
+    oracle = {}
     for _ in range(300):
         m = random_min_dfa(rng, max_states=5)
-        for k in range(4):
-            answer = is_kpt(m, k)
-            oracle = is_kpt_oracle(m, k)
-            assert answer.verdict == oracle.verdict, (m, k)
+        text = serialize_automaton(m)
+        for k in range(6):
+            if (text, k) not in oracle:
+                oracle[text, k] = is_kpt_oracle(m, k).verdict
+            assert is_kpt(m, k).verdict == oracle[text, k], (m, k)
+
+
+def test_is_kpt_at_huge_k_needs_no_class_search():
+    # A PT language is k-PT for every k from the depth of its minimal DFA
+    # on (7 for A_2); a language that is not PT is k-PT for no k.
+    for m, verdict in ((min_dfa(gen_ak(2)), "yes"), (min_dfa(dfa_parity()), "no")):
+        start = time.perf_counter()
+        assert is_kpt(m, 10**6).verdict == verdict
+        assert time.perf_counter() - start < 1.0
+
+
+def test_is_kpt_depth_bound_is_tight_on_pieces():
+    # The piece of a word of length n is n-PT but not (n-1)-PT, and its
+    # minimal DFA has depth n: the depth answers "yes" at n and no sooner.
+    for n in (4, 5, 6):
+        m = dfa_piece((("a", "b") * 3)[:n], ("a", "b"))
+        assert depth(m) == n
+        assert is_kpt(m, n - 1).verdict == is_kpt_oracle(m, n - 1).verdict == "no"
+        assert is_kpt(m, n).verdict == "yes"
 
 
 def test_kpt_is_monotone_in_k():
