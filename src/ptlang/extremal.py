@@ -17,6 +17,15 @@ from ptlang.subwords import DEFAULT_CLASS_BUDGET, canonical_automaton
 # The longest word gen_wk and gen_wkn build; longer ones would exhaust memory.
 MAX_WORD_LENGTH = 2**21
 
+# The most decimal digits of a result of pkn and pkn_stirling.  It stays
+# below Python's default limit of 4300 digits for printing an int.
+MAX_PKN_DIGITS = 4000
+
+# A time limit: the largest k pkn_stirling takes.  Its cycle numbers cost
+# about k^3 digit operations; k = 2400 takes about 3 s and k = 4000 about
+# 16 s on a 2-CPU machine.
+MAX_STIRLING_K = 4000
+
 
 def gen_ak(k: int) -> Automaton:
     """The depth-k NFA whose language is (k+1)-PT but not k-PT, while its
@@ -56,7 +65,18 @@ def pkn(k: int, n: int) -> int:
     over n letters."""
     if k < 1 or n < 1:
         raise InputError("k and n must be positive")
+    if _log10_binomial(k + n, k) >= MAX_PKN_DIGITS:
+        raise InputError(f"P({k}, {n}) has more than {MAX_PKN_DIGITS} digits")
     return math.comb(k + n, k) - 1
+
+
+def _log10_binomial(m: int, j: int) -> float:
+    """log10 C(m, j) for 0 <= j <= m, estimated without forming C(m, j);
+    infinity when C(m, j) >= 2^min(j, m - j) already has too many digits."""
+    j = min(j, m - j)
+    if j > 4 * MAX_PKN_DIGITS:  # 2^j > 10^MAX_PKN_DIGITS
+        return math.inf
+    return sum(math.log10(m - i) for i in range(j)) - math.lgamma(j + 1) / math.log(10)
 
 
 def pkn_stirling(k: int, n: int) -> int:
@@ -64,6 +84,10 @@ def pkn_stirling(k: int, n: int) -> int:
     (1/k!) * sum_i [k+1, i+1] * n^i for i = 1..k."""
     if k < 1 or n < 1:
         raise InputError("k and n must be positive")
+    if k > MAX_STIRLING_K:
+        raise InputError(f"the Stirling evaluation takes k up to {MAX_STIRLING_K}")
+    if _log10_binomial(k + n, k) >= MAX_PKN_DIGITS:
+        raise InputError(f"P({k}, {n}) has more than {MAX_PKN_DIGITS} digits")
     # Row k + 1 of the cycle numbers, built one row at a time from
     # [0, 0] = 1 by [m+1, j] = [m, j-1] + m [m, j].
     row = [1]

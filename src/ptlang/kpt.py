@@ -30,6 +30,7 @@ from ptlang.subwords import (
     ClassKey,
     class_edges,
     class_pieces,
+    decode_class,
     embeds,
     k_equivalent,
 )
@@ -135,27 +136,44 @@ def is_3pt(
     return None if undecided else True
 
 
-def _class_state_map(
-    a: Automaton, k: int, budget: int
-) -> Union[Certificate, dict[ClassKey, tuple[int, Word]]]:
+# Each class's DFA state, with the class and letter it was first reached
+# from (None, None for the class of the empty word).
+ClassStates = dict[ClassKey, tuple[int, Optional[ClassKey], Optional[str]]]
+
+
+def _class_state_map(a: Automaton, k: int, budget: int) -> Union[Certificate, ClassStates]:
     """Pair each ~_k class with the DFA state (an index of `a.table`) its
-    first access word reaches: the class-to-(state, access word) map when
+    first access word reaches: the class-to-(state, parent, letter) map when
     every class meets a single state, or a Certificate for the first class
     caught meeting two."""
     t = a.table
     step = {(q, letter): nxt for q, row in enumerate(t.rows) for letter, nxt in zip(a.alphabet, row)}
-    seen = {EPSILON_CLASS: (t.start, ())}
+    seen: ClassStates = {EPSILON_CLASS: (t.start, None, None)}
     for cls, letter, nxt, first_visit in class_edges(a.alphabet, k, budget):
-        q, w = seen[cls]
-        nxt_state = step[q, letter]
-        nxt_word = w + (letter,)
+        nxt_state = step[seen[cls][0], letter]
         if first_visit:
-            seen[nxt] = (nxt_state, nxt_word)
+            seen[nxt] = (nxt_state, cls, letter)
         else:
-            prev_state, prev_word = seen[nxt]
+            prev_state = seen[nxt][0]
             if prev_state != nxt_state:
-                return Certificate(k, prev_word, nxt_word, t.names[prev_state], t.names[nxt_state])
+                return Certificate(
+                    k,
+                    _access_word(seen, nxt),
+                    _access_word(seen, cls) + (letter,),
+                    t.names[prev_state],
+                    t.names[nxt_state],
+                )
     return seen
+
+
+def _access_word(seen: ClassStates, cls: ClassKey) -> Word:
+    """The word that first reached `cls`, read back through the parents."""
+    letters = []
+    _state, parent, letter = seen[cls]
+    while parent is not None:
+        letters.append(letter)
+        _state, parent, letter = seen[parent]
+    return tuple(reversed(letters))
 
 
 def is_kpt_oracle(
@@ -259,13 +277,13 @@ def decompose(
     if isinstance(outcome, Certificate):
         raise ContractError("decompose requires a k-PT language at this k")
     accepting = a.table.accepting
-    clauses = []
-    for cls, (state, _word) in sorted(
-        outcome.items(), key=lambda item: (len(item[1][1]), item[1][1])
-    ):
-        if state in accepting:
-            clauses.append(Clause(*class_pieces(cls, a.alphabet, k)))
-    return PieceExpression(tuple(clauses))
+    access = {
+        cls: _access_word(outcome, cls) for cls, (state, _, _) in outcome.items() if state in accepting
+    }
+    order = sorted(access, key=lambda cls: (len(access[cls]), access[cls]))
+    return PieceExpression(
+        tuple(Clause(*class_pieces(decode_class(cls, a.alphabet), a.alphabet, k)) for cls in order)
+    )
 
 
 def eval_piece_expression(e: PieceExpression, w: Word) -> bool:

@@ -1,15 +1,19 @@
 """Subsequence embedding, sub_k sets and Simon's k-equivalence of words.
 
 Words are tuples of letter names.  Two words are k-equivalent when they have
-the same scattered subwords of length at most k, their sub_k set.  A ~_k
-class is that set itself, a plain frozenset of words closed under taking
-subwords: the class search, reduce_word and class_pieces all work on it.
-The test of two given words (k_equivalent) builds no such set and compares
-the words' suffixes instead.
+the same scattered subwords of length at most k, their sub_k set.  The class
+search (class_edges, canonical_automaton) stores a ~_k class as one integer
+bit set, a ClassKey, with one bit per word of length at most k, so a class
+whose longest member has length L spans n^0 + ... + n^L bits over n letters;
+decode_class turns it back into its set of words, the form that class_pieces,
+reduce_word and the set-based reference subwords_up_to_k use.  The test of
+two given words (k_equivalent) builds no such set and compares the words'
+suffixes instead.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Iterable, Iterator
 
@@ -23,10 +27,15 @@ from ptlang.automata import (
 
 DEFAULT_CLASS_BUDGET = 2 * 10**6
 
-# A ~_k class: the sub_k set its words share.  It always holds the empty
-# word and every subword of a member; other modules only hash it.
-ClassKey = frozenset[Word]
-EPSILON_CLASS: ClassKey = frozenset({()})
+# A ~_k class over an alphabet of n letters: the sub_k set its words share,
+# as an int with bit b set iff word number b is a member.  Words are
+# numbered in blocks by length: block L starts at bit n^0 + ... + n^(L-1)
+# and holds n^L bits, and inside it the word x_0 ... x_(L-1), with x_i the
+# number of its i-th letter in alphabet order, is bit x_0 + x_1 n + ... +
+# x_(L-1) n^(L-1).  A class always holds the empty word (bit 0) and every
+# subword of a member; other modules only hash and compare it.
+ClassKey = int
+EPSILON_CLASS: ClassKey = 1
 
 
 def embeds(v: Word, w: Word) -> bool:
@@ -36,7 +45,7 @@ def embeds(v: Word, w: Word) -> bool:
 
 
 def class_pieces(
-    members: ClassKey, alphabet: tuple[str, ...], k: int
+    members: frozenset[Word], alphabet: tuple[str, ...], k: int
 ) -> tuple[frozenset[Word], frozenset[Word]]:
     """The pieces that pin down a ~_k class among words over `alphabet`: its
     maximal members, which every word of the class contains, and its minimal
@@ -57,18 +66,76 @@ def class_pieces(
     return maximal, missing
 
 
-def _grow(members: ClassKey, a: str, k: int) -> ClassKey:
-    return members | {u + (a,) for u in members if len(u) < k}
-
-
-def subwords_up_to_k(w: Word, k: int) -> ClassKey:
-    """sub_k(w): all subsequences of w of length at most k."""
+def subwords_up_to_k(w: Word, k: int) -> frozenset[Word]:
+    """sub_k(w): all subsequences of w of length at most k, as a set of words."""
     if k < 0:
         raise InputError("k must be non-negative")
-    members = EPSILON_CLASS
+    members = frozenset({()})
     for a in w:
-        members = _grow(members, a, k)
+        members = members | {u + (a,) for u in members if len(u) < k}
     return members
+
+
+class ClassGrower:
+    """Appends letters to ~_k classes over an alphabet of n letters.
+
+    Appending letter number i to a word of length L < k moves its bit from
+    index x in block L to index x + i n^L in block L + 1.  So the class of
+    w + (letter i,) is the class of w OR, for each L < k, block L of that
+    class shifted into block L + 1: k masked shifts, all read from the class
+    before the letter is added (shifting the running value would add words
+    two letters longer).  The table of shifts grows lazily up to the
+    longest member met so far, so a huge k never forms n^k.
+    """
+
+    def __init__(self, n: int, k: int):
+        self._n = n
+        self._k = k
+        # _steps[i][L] = (offset of block L, its mask, shift for letter i)
+        # for the blocks built so far; _limit is the offset of the first
+        # block not built, or infinity once all k are built.
+        self._steps: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        self._limit = 0 if k else math.inf
+
+    def _build_to(self, bits: int) -> None:
+        """Build the blocks below k that hold bits of a class `bits` long."""
+        while self._limit < bits:
+            length = len(self._steps[0])
+            offset, size = self._limit, self._n**length
+            mask = (1 << size) - 1
+            for i, steps in enumerate(self._steps):
+                steps.append((offset, mask, offset + (i + 1) * size))
+            self._limit = offset + size if length + 1 < self._k else math.inf
+
+    def grow(self, members: ClassKey, i: int) -> ClassKey:
+        """The class of w + (letter i,), given the class `members` of w."""
+        bits = members.bit_length()
+        if bits > self._limit:
+            self._build_to(bits)
+        grown = members
+        for offset, mask, shift in self._steps[i]:
+            if offset >= bits:
+                break
+            grown |= ((members >> offset) & mask) << shift
+        return grown
+
+
+def decode_class(members: ClassKey, alphabet: tuple[str, ...]) -> frozenset[Word]:
+    """The words of a ~_k class over `alphabet`, as a set."""
+    n = len(alphabet)
+    words = []
+    offset, size, length = 0, 1, 0
+    while offset < members.bit_length():
+        block = (members >> offset) & ((1 << size) - 1)
+        for index, bit in enumerate(bin(block)[:1:-1]):
+            if bit == "1":
+                word = []
+                for _ in range(length):
+                    index, letter = divmod(index, n)
+                    word.append(alphabet[letter])
+                words.append(tuple(word))
+        offset, size, length = offset + size, size * n, length + 1
+    return frozenset(words)
 
 
 def k_equivalent(w1: Word, w2: Word, k: int) -> bool:
@@ -122,12 +189,14 @@ def class_edges(
     budget + 1 raises BudgetExceededError."""
     if k < 0:
         raise InputError("k must be non-negative")
+    grow = ClassGrower(len(alphabet), k).grow
+    letters = tuple(enumerate(alphabet))
     seen = {EPSILON_CLASS}
     queue = deque([EPSILON_CLASS])
     while queue:
         members = queue.popleft()
-        for a in alphabet:
-            nxt = _grow(members, a, k)
+        for i, a in letters:
+            nxt = grow(members, i)
             first_visit = nxt not in seen
             if first_visit:
                 if len(seen) >= budget:
@@ -166,11 +235,17 @@ def reduce_word(w: Word, k: int) -> Word:
     """
     if k < 0:
         raise InputError("k must be non-negative")
-    members = EPSILON_CLASS
+    if k >= len(w):
+        # each letter adds the whole prefix, a member longer than any before
+        return tuple(w)
+    # A set of words, not a ClassKey: the integer class of a long member
+    # spans n^0 + ... + n^L bits, so a long word with few distinct subwords
+    # (a^40 b at k = 40) would need an int of 2^40 bits.
+    members = frozenset({()})
     kept: list[str] = []
     for a in w:
-        grown = _grow(members, a, k)
-        if grown != members:
+        grown = members | {u + (a,) for u in members if len(u) < k}
+        if len(grown) != len(members):
             kept.append(a)
             members = grown
     return tuple(kept)

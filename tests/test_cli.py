@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import time
 
 import pytest
 from conftest import all_words, languages_agree, random_nfa
@@ -263,6 +265,27 @@ def test_cli_pkn(capsys):
     # deep enough to overflow the stack of a recursive Stirling evaluation
     assert main(["pkn", "1200", "2", "--stirling"]) == 0
     assert capsys.readouterr().out.strip() == str(pkn(1200, 2))
+
+
+def test_cli_pkn_digit_limit(capsys):
+    # 1,203 digits print; 6,019 would pass Python's 4,300-digit print limit
+    assert main(["pkn", "2000", "2000"]) == 0
+    assert capsys.readouterr().out.strip() == str(math.comb(4000, 2000) - 1)
+    assert main(["pkn", "10000", "10000"]) == 2
+    assert "more than 4000 digits" in capsys.readouterr().err
+    assert main(["pkn", "100", str(10**100), "--stirling"]) == 2
+    assert "more than 4000 digits" in capsys.readouterr().err
+    # the Stirling sum is k! P(k, n); only the result's digits count
+    assert main(["pkn", "1500", "2", "--stirling"]) == 0
+    assert capsys.readouterr().out.strip() == str(pkn(1500, 2))
+    assert main(["pkn", "4001", "2", "--stirling"]) == 2
+    assert "k up to 4000" in capsys.readouterr().err
+    start = time.perf_counter()
+    assert main(["pkn", str(2**2000), str(2**2000)]) == 2
+    assert main(["pkn", str(2**2000), "1", "--stirling"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert main(["pkn", str(10**400), "1"]) == 0
+    assert capsys.readouterr().out.strip() == str(10**400)
 
 
 @pytest.mark.parametrize(

@@ -96,6 +96,14 @@ def test_oracle_budget_gives_unknown():
     assert is_kpt_oracle(m, 2, budget=3).verdict == "unknown"
 
 
+def test_oracle_with_huge_k_stops_at_budget():
+    # the classes reached within the budget hold only short words
+    m = min_dfa(gen_ak(2))
+    start = time.perf_counter()
+    assert is_kpt_oracle(m, 10**6, 1000).verdict == "unknown"
+    assert time.perf_counter() - start < 1.0
+
+
 def test_oracle_rejects_nfa():
     with pytest.raises(ContractError):
         is_kpt_oracle(gen_ak(1), 1)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import all_words, brute_subwords
 
 from ptlang import (
+    BudgetExceededError,
     InputError,
     canonical_automaton,
     depth,
@@ -21,7 +22,7 @@ from ptlang import (
     reduce_word,
     subwords_up_to_k,
 )
-from ptlang.subwords import EPSILON_CLASS, class_edges, class_pieces
+from ptlang.subwords import EPSILON_CLASS, ClassGrower, class_edges, class_pieces, decode_class
 
 words_ab = st.lists(st.sampled_from("ab"), max_size=10).map(tuple)
 words_abc = st.lists(st.sampled_from("abc"), max_size=10).map(tuple)
@@ -140,12 +141,38 @@ def test_class_edges_follow_appended_letters(letters, k):
     access = {EPSILON_CLASS: ()}
     for cls, a, nxt, first_visit in class_edges(alphabet, k):
         w = access[cls]
-        assert cls == subwords_up_to_k(w, k)
-        assert nxt == subwords_up_to_k(w + (a,), k)
+        assert decode_class(cls, alphabet) == subwords_up_to_k(w, k)
+        assert decode_class(nxt, alphabet) == subwords_up_to_k(w + (a,), k)
         assert first_visit == (nxt not in access)
         access.setdefault(nxt, w + (a,))
     bound = math.comb(k + len(alphabet), k) - 1
-    assert set(access) == {subwords_up_to_k(w, k) for w in all_words(alphabet, bound)}
+    decoded = {decode_class(cls, alphabet) for cls in access}
+    assert len(decoded) == len(access)
+    assert decoded == {subwords_up_to_k(w, k) for w in all_words(alphabet, bound)}
+
+
+@st.composite
+def words_over_alphabets(draw):
+    alphabet = draw(st.sampled_from([(), ("a",), ("b", "a"), ("a", "b", "c"), ("d", "b", "a", "c")]))
+    if not alphabet:
+        return alphabet, ()
+    return alphabet, draw(st.lists(st.sampled_from(alphabet), max_size=10).map(tuple))
+
+
+@settings(max_examples=200)
+@given(words_over_alphabets(), st.integers(min_value=0, max_value=5))
+def test_integer_classes_match_subword_sets(case, k):
+    # grow one letter at a time and decode each prefix's class: one bit per
+    # member, and the members are the prefix's sub_k set
+    alphabet, w = case
+    grow = ClassGrower(len(alphabet), k).grow
+    members = EPSILON_CLASS
+    for i in range(len(w) + 1):
+        if i:
+            members = grow(members, alphabet.index(w[i - 1]))
+        words = decode_class(members, alphabet)
+        assert words == subwords_up_to_k(w[:i], k) == brute_subwords(w[:i], k)
+        assert bin(members).count("1") == len(words)
 
 
 @st.composite
@@ -196,16 +223,46 @@ def test_canonical_automaton_is_partially_ordered_and_monotone():
 
 
 def test_canonical_automaton_budget():
-    from ptlang import BudgetExceededError
-
     with pytest.raises(BudgetExceededError):
         canonical_automaton(["a", "b"], 2, budget=3)
+
+
+def test_canonical_automaton_five_letters():
+    # the class space gen_tight_depth_dfa(2, 5) is built on
+    a = canonical_automaton([f"a{i}" for i in range(1, 6)], 2)
+    assert len(a.states) == 52132
+
+
+def test_canonical_automaton_with_huge_k():
+    # the search stops at the budget; it never forms a block of n^k bits
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        canonical_automaton(("a", "b"), 10**6, budget=1000)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_reduce_word_examples():
     assert reduce_word(("a", "a", "a", "a"), 2) == ("a", "a")
     w22 = gen_wkn(2, 2)
     assert reduce_word(w22, 2) == w22
+
+
+def test_reduce_word_keeps_words_no_longer_than_k():
+    # every prefix is a member longer than all earlier ones
+    w = ("a", "b") * 50
+    start = time.perf_counter()
+    assert reduce_word(w, 10**6) == w
+    assert time.perf_counter() - start < 0.1
+    assert reduce_word(list(w[:4]), 4) == w[:4]
+
+
+def test_reduce_word_long_word_with_few_subwords():
+    # a^40 b at k = 40 has 81 subwords but members up to 40 letters long
+    w = ("a",) * 40 + ("b",)
+    start = time.perf_counter()
+    assert reduce_word(w, 40) == w
+    assert reduce_word(("a",) + w, 40) == w
+    assert time.perf_counter() - start < 0.1
 
 
 @given(words_ab, st.integers(min_value=0, max_value=3))
