@@ -2,18 +2,21 @@
 
 A single :class:`Automaton` type covers both NFAs and DFAs; determinism is a
 derived property, never a separate type.  All operations are pure: they never
-mutate their input and return fresh automata.  Algorithms on complete DFAs
-read one cached integer view of them, `Automaton.table`, and the library's
-DFA constructions build their results from integer rows (`dfa_from_rows`).
+mutate their input and return fresh automata.  An automaton is stored in one
+integer form: state i is the i-th of the sorted state names, and each state
+has one sorted tuple of successor indices per letter.  Every algorithm reads
+that form and every construction builds it; the name-keyed `states`,
+`transitions`, `initials` and `accepting` are views computed on first use.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 Word = tuple[str, ...]
 
@@ -43,66 +46,93 @@ class BudgetExceededError(RuntimeError):
         self.reached = reached
 
 
-class DfaTable(NamedTuple):
-    """The integer view of a complete DFA: state i is names[i], the names in
-    sorted order, and rows[i][j] is the successor of state i under the j-th
-    letter of the alphabet."""
+@dataclass(frozen=True, init=False)
+class Automaton:
+    """Nondeterministic finite automaton (a DFA is a validated restriction).
+
+    State i is names[i], the names distinct and sorted.  rows[i][j] is the
+    sorted tuple of the successors of state i under alphabet[j], empty when
+    there is no transition.  `starts` and `finals` hold the indices of the
+    initial and accepting states.
+    """
 
     names: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
-    start: int
-    accepting: frozenset[int]
+    alphabet: tuple[str, ...]
+    rows: tuple[tuple[tuple[int, ...], ...], ...]
+    starts: frozenset[int]
+    finals: frozenset[int]
+
+    def __init__(self, names, alphabet, rows, starts, finals, *, accepting=None):
+        # State names given as `accepting` replace `finals`, so that
+        # dataclasses.replace(a, accepting=...) swaps the accepting states.
+        if accepting is not None:
+            finals = frozenset(map(names.index, accepting))
+        # Frozen, so the fields go straight into __dict__, in field order,
+        # which keeps the instance dicts' shared keys.
+        fields = self.__dict__
+        fields["names"] = names
+        fields["alphabet"] = alphabet
+        fields["rows"] = rows
+        fields["starts"] = starts
+        fields["finals"] = finals
+
+    @cached_property
+    def states(self) -> frozenset[str]:
+        return frozenset(self.names)
+
+    @cached_property
+    def transitions(self) -> Mapping[tuple[str, str], frozenset[str]]:
+        """(state, letter) to the frozenset of its targets; pairs with no
+        transition are absent.  Equal target sets share one frozenset."""
+        names = self.names
+        as_names: dict[tuple[int, ...], frozenset[str]] = {}
+        view = {}
+        for name, row in zip(names, self.rows):
+            for letter, dsts in zip(self.alphabet, row):
+                if dsts:
+                    if dsts not in as_names:
+                        as_names[dsts] = frozenset(names[q] for q in dsts)
+                    view[name, letter] = as_names[dsts]
+        return view
+
+    @cached_property
+    def initials(self) -> frozenset[str]:
+        return frozenset(self.names[q] for q in self.starts)
+
+    @cached_property
+    def accepting(self) -> frozenset[str]:
+        return frozenset(self.names[q] for q in self.finals)
+
+    @cached_property
+    def deterministic(self) -> bool:
+        return len(self.starts) == 1 and all(len(dsts) <= 1 for row in self.rows for dsts in row)
+
+    @cached_property
+    def complete(self) -> bool:
+        return all(all(row) for row in self.rows)
+
+    def _index(self, q: str) -> Optional[int]:
+        """The index of state `q`, or None if there is no such state."""
+        i = bisect_left(self.names, q)
+        return i if i < len(self.names) and self.names[i] == q else None
 
     def reachable(self, sources: Iterable[int]) -> set[int]:
         """The states reachable from `sources`, the sources included."""
         seen = set(sources)
         stack = list(seen)
         while stack:
-            for nxt in self.rows[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
+            for dsts in self.rows[stack.pop()]:
+                for nxt in dsts:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
         return seen
 
-
-@dataclass(frozen=True)
-class Automaton:
-    """Nondeterministic finite automaton (a DFA is a validated restriction).
-
-    `transitions` maps (state, letter) to the frozenset of target states;
-    pairs with no transition are simply absent.
-    """
-
-    states: frozenset[str]
-    alphabet: tuple[str, ...]
-    transitions: Mapping[tuple[str, str], frozenset[str]]
-    initials: frozenset[str]
-    accepting: frozenset[str]
-
-    @cached_property
-    def deterministic(self) -> bool:
-        return len(self.initials) == 1 and all(len(dsts) <= 1 for dsts in self.transitions.values())
-
-    @cached_property
-    def complete(self) -> bool:
-        return all(self.transitions.get((q, a)) for q in self.states for a in self.alphabet)
-
-    @cached_property
-    def table(self) -> DfaTable:
-        """The state table every complete-DFA algorithm reads."""
-        if not (self.deterministic and self.complete):
-            raise ContractError("this operation requires a deterministic complete automaton")
-        names = tuple(sorted(self.states))
-        index = {q: i for i, q in enumerate(names)}
-        rows = tuple(
-            tuple(index[q] for a in self.alphabet for q in self.transitions[p, a])
-            for p in names
-        )
-        (start,) = self.initials
-        return DfaTable(names, rows, index[start], frozenset(index[q] for q in self.accepting))
-
     def targets(self, q: str, a: str) -> frozenset[str]:
-        return self.transitions.get((q, a), frozenset())
+        i = self._index(q)
+        if i is None or a not in self.alphabet:
+            return frozenset()
+        return frozenset(self.names[r] for r in self.rows[i][self.alphabet.index(a)])
 
     def step(self, current: Iterable[str], a: str) -> frozenset[str]:
         if a not in self.alphabet:
@@ -114,10 +144,14 @@ class Automaton:
 
     def run(self, w: Word) -> frozenset[str]:
         """The set of states reached from the initial states under `w`."""
-        current = self.initials
+        current: Iterable[int] = self.starts
         for a in w:
-            current = self.step(current, a)
-        return current
+            try:
+                j = self.alphabet.index(a)
+            except ValueError:
+                raise InputError(f"unknown letter {a!r}") from None
+            current = {nxt for q in current for nxt in self.rows[q][j]}
+        return frozenset(self.names[q] for q in current)
 
     def accepts(self, w: Word) -> bool:
         return bool(self.run(w) & self.accepting)
@@ -150,44 +184,80 @@ def make_automaton(
     accepting: Iterable[str],
 ) -> Automaton:
     """Build and validate an automaton from transition triples (src, letter, dst)."""
-    state_set = frozenset(states)
+    names = tuple(sorted(set(states)))
+    index = {q: i for i, q in enumerate(names)}
     letters = tuple(alphabet)
-    letter_set = set(letters)
-    if len(letter_set) != len(letters):
+    column = {letter: j for j, letter in enumerate(letters)}
+    if len(column) != len(letters):
         raise InputError("duplicate letters in alphabet")
-    table: dict[tuple[str, str], set[str]] = {}
+    width = len(letters)
+    # The targets of state i under letter j, in cell i * width + j; cells
+    # with more than one target collect them in `several`.
+    cells: list[tuple[int, ...]] = [()] * (len(names) * width)
+    several: dict[int, set[int]] = {}
     for src, letter, dst in transitions:
-        if src not in state_set:
-            raise InputError(f"transition source {src!r} not a declared state")
-        if dst not in state_set:
-            raise InputError(f"transition target {dst!r} not a declared state")
-        if letter not in letter_set:
-            raise InputError(f"transition letter {letter!r} not in alphabet")
-        table.setdefault((src, letter), set()).add(dst)
-    init = frozenset(initials)
-    acc = frozenset(accepting)
-    for name, group in (("initial", init), ("accepting", acc)):
-        bad = group - state_set
-        if bad:
-            raise InputError(f"{name} state {sorted(bad)[0]!r} not a declared state")
-    frozen = {key: frozenset(dsts) for key, dsts in table.items()}
-    return Automaton(state_set, letters, frozen, init, acc)
+        try:
+            cell, target = index[src] * width + column[letter], index[dst]
+        except KeyError:
+            if src not in index:
+                raise InputError(f"transition source {src!r} not a declared state") from None
+            if dst not in index:
+                raise InputError(f"transition target {dst!r} not a declared state") from None
+            raise InputError(f"transition letter {letter!r} not in alphabet") from None
+        if cells[cell]:
+            several.setdefault(cell, set(cells[cell])).add(target)
+        else:
+            cells[cell] = (target,)
+    for cell, dsts in several.items():
+        cells[cell] = tuple(sorted(dsts))
+    init, acc = frozenset(initials), frozenset(accepting)
+    try:
+        starts = frozenset(map(index.__getitem__, init))
+        finals = frozenset(map(index.__getitem__, acc))
+    except KeyError:
+        for name, group in (("initial", init), ("accepting", acc)):
+            bad = group - index.keys()
+            if bad:
+                raise InputError(f"{name} state {sorted(bad)[0]!r} not a declared state") from None
+    # The cells, width at a time, are the rows.
+    rows = tuple(zip(*[iter(cells)] * width)) if width else ((),) * len(names)
+    return Automaton(names, letters, rows, starts, finals)
 
 
-def dfa_from_rows(
-    names: Sequence[str], alphabet: tuple[str, ...], rows: Sequence[Sequence[int]],
+def dfa_from_successors(
+    names: Sequence[str], alphabet: tuple[str, ...], successors: Sequence[int],
     start: int, accepting: Iterable[int],
 ) -> Automaton:
-    """The DFA with state i named names[i] and rows[i][j] its successor under
-    alphabet[j].  The library's constructions build their results with it;
-    data from outside goes through make_automaton, which validates it."""
-    targets = [frozenset((name,)) for name in names]
-    transitions = {
-        (name, letter): targets[j] for name, row in zip(names, rows) for letter, j in zip(alphabet, row)
-    }
-    return Automaton(
-        frozenset(names), alphabet, transitions, targets[start], frozenset(names[i] for i in accepting)
+    """The DFA with state i named names[i] and successors[i * len(alphabet) + j]
+    its successor under alphabet[j], renumbered in name order.  The library's
+    constructions build their results with it; data from outside goes
+    through make_automaton, which validates it."""
+    width = len(alphabet)
+    order = sorted(range(len(names)), key=names.__getitem__)
+    # single[i] is the one-element target tuple of old state i's new index.
+    single: list[tuple[int]] = [(0,)] * len(order)
+    for new, old in enumerate(order):
+        single[old] = (new,)
+    rows = tuple(
+        tuple(single[nxt] for nxt in successors[old * width : old * width + width]) for old in order
     )
+    return Automaton(
+        tuple(names[old] for old in order), alphabet, rows,
+        frozenset(single[start]), frozenset(single[i][0] for i in accepting),
+    )
+
+
+def require_complete_dfa(a: Automaton) -> None:
+    """Raise ContractError unless `a` is deterministic and complete."""
+    if not (a.deterministic and a.complete):
+        raise ContractError("this operation requires a deterministic complete automaton")
+
+
+def dfa_rows(a: Automaton) -> list[list[int]]:
+    """The successor table of a deterministic complete automaton: entry
+    [i][j] is the successor of state i under the j-th letter."""
+    require_complete_dfa(a)
+    return [[nxt for (nxt,) in row] for row in a.rows]
 
 
 def determinize(a: Automaton) -> Automaton:
@@ -197,27 +267,27 @@ def determinize(a: Automaton) -> Automaton:
     lists; the empty subset acts as the sink when it is reachable.  Should two
     subsets print alike, backslashes, commas and braces in members are escaped.
     """
-    start = a.initials
-    index: dict[frozenset[str], int] = {start: 0}
+    start = a.starts
+    index: dict[frozenset[int], int] = {start: 0}
     subsets = [start]
-    rows: list[list[int]] = []
+    successors: list[int] = []
+    letters = range(len(a.alphabet))
     for current in subsets:
-        row = []
-        for letter in a.alphabet:
-            nxt = frozenset(
-                itertools.chain.from_iterable(a.targets(q, letter) for q in current)
-            )
+        rows = [a.rows[q] for q in current]
+        for j in letters:
+            nxt = frozenset(itertools.chain.from_iterable(row[j] for row in rows))
             if nxt not in index:
                 index[nxt] = len(subsets)
                 subsets.append(nxt)
-            row.append(index[nxt])
-        rows.append(row)
-    names = ["{" + ",".join(sorted(s)) + "}" for s in subsets]
+            successors.append(index[nxt])
+    # Indices sort like the names they stand for.
+    members = [[a.names[q] for q in sorted(s)] for s in subsets]
+    names = ["{" + ",".join(m) + "}" for m in members]
     if len(set(names)) < len(names):
         escape = str.maketrans({c: "\\" + c for c in "\\,{}"})
-        names = ["{" + ",".join(m.translate(escape) for m in sorted(s)) + "}" for s in subsets]
-    accepting = [i for i, s in enumerate(subsets) if s & a.accepting]
-    return dfa_from_rows(names, a.alphabet, rows, 0, accepting)
+        names = ["{" + ",".join(q.translate(escape) for q in m) + "}" for m in members]
+    accepting = [i for i, s in enumerate(subsets) if s & a.finals]
+    return dfa_from_successors(names, a.alphabet, successors, 0, accepting)
 
 
 def minimize(a: Automaton) -> Automaton:
@@ -227,16 +297,18 @@ def minimize(a: Automaton) -> Automaton:
     first.  Each block of merged states is named after its lexicographically
     smallest member, which keeps names short and the result reproducible.
     """
-    t = a.table
-    reachable = sorted(t.reachable((t.start,)))
+    require_complete_dfa(a)
+    rows = a.rows
+    (start,) = a.starts
+    reachable = sorted(a.reachable(a.starts))
     # Moore refinement numbers the blocks in the order of their least
     # members; names sort like their indices.
-    block = [1 if q in t.accepting else 0 for q in range(len(t.names))]
+    block = [1 if q in a.finals else 0 for q in range(len(rows))]
     while True:
         signatures: dict[tuple[int, ...], int] = {}
         new_block = block[:]
         for q in reachable:
-            sig = (block[q], *(block[nxt] for nxt in t.rows[q]))
+            sig = (block[q], *(block[nxt] for (nxt,) in rows[q]))
             new_block[q] = signatures.setdefault(sig, len(signatures))
         if new_block == block:
             break
@@ -244,10 +316,10 @@ def minimize(a: Automaton) -> Automaton:
     least: dict[int, int] = {}
     for q in reachable:
         least.setdefault(block[q], q)
-    rows = [[block[nxt] for nxt in t.rows[q]] for q in least.values()]
-    accepting = [b for b, q in least.items() if q in t.accepting]
-    names = [t.names[q] for q in least.values()]
-    return dfa_from_rows(names, a.alphabet, rows, block[t.start], accepting)
+    successors = [block[nxt] for q in least.values() for (nxt,) in rows[q]]
+    accepting = [b for b, q in least.items() if q in a.finals]
+    names = [a.names[q] for q in least.values()]
+    return dfa_from_successors(names, a.alphabet, successors, block[start], accepting)
 
 
 def complete_with_sink(a: Automaton, sink_name: str = "sink") -> Automaton:
@@ -255,39 +327,31 @@ def complete_with_sink(a: Automaton, sink_name: str = "sink") -> Automaton:
 
     Already-complete automata are returned unchanged.
     """
-    if a.complete and a.states:
+    if a.complete and a.names:
         return a
     sink = sink_name
-    while sink in a.states:
+    while a._index(sink) is not None:
         sink = sink + "'"
-    triples = [
-        (src, letter, dst)
-        for (src, letter), dsts in a.transitions.items()
-        for dst in dsts
-    ]
-    for q in a.states | {sink}:
-        for letter in a.alphabet:
-            if not a.targets(q, letter):
-                triples.append((q, letter, sink))
-    return make_automaton(
-        a.states | {sink}, a.alphabet, triples, a.initials, a.accepting
+    s = bisect_left(a.names, sink)
+    shift = [q + (q >= s) for q in range(len(a.names))]
+    rows = [tuple(tuple(shift[q] for q in dsts) or (s,) for dsts in row) for row in a.rows]
+    rows.insert(s, ((s,),) * len(a.alphabet))
+    return Automaton(
+        a.names[:s] + (sink,) + a.names[s:], a.alphabet, tuple(rows),
+        frozenset(shift[q] for q in a.starts), frozenset(shift[q] for q in a.finals),
     )
 
 
-def _longest_paths(a: Automaton) -> Optional[dict[str, int]]:
+def _longest_paths(a: Automaton) -> Optional[list[int]]:
     """One Kahn pass over the graph without self-loops: the number of
     transitions on the longest path into each state, or None if cyclic."""
-    adj: dict[str, set[str]] = {q: set() for q in a.states}
-    for (src, _letter), dsts in a.transitions.items():
-        for dst in dsts:
-            if dst != src:
-                adj[src].add(dst)
-    indegree = dict.fromkeys(a.states, 0)
-    for dsts in adj.values():
+    adj = [{dst for dsts in row for dst in dsts if dst != src} for src, row in enumerate(a.rows)]
+    indegree = [0] * len(adj)
+    for dsts in adj:
         for dst in dsts:
             indegree[dst] += 1
-    longest = dict.fromkeys(a.states, 0)
-    order = [q for q, d in indegree.items() if d == 0]
+    longest = [0] * len(adj)
+    order = [q for q, d in enumerate(indegree) if d == 0]
     for q in order:
         step = longest[q] + 1
         for dst in adj[q]:
@@ -296,7 +360,7 @@ def _longest_paths(a: Automaton) -> Optional[dict[str, int]]:
             indegree[dst] -= 1
             if indegree[dst] == 0:
                 order.append(dst)
-    return longest if len(order) == len(a.states) else None
+    return longest if len(order) == len(adj) else None
 
 
 def is_partially_ordered(a: Automaton) -> bool:
@@ -313,14 +377,15 @@ def depth(a: Automaton) -> int:
     longest = _longest_paths(a)
     if longest is None:
         raise CyclicAutomatonError("depth is undefined on cyclic automata")
-    return max(longest.values(), default=0)
+    return max(longest, default=0)
 
 
 def self_loop_alphabet(a: Automaton, p: str) -> frozenset[str]:
     """The letters under which `p` has a self-loop."""
-    if p not in a.states:
+    i = a._index(p)
+    if i is None:
         raise InputError(f"unknown state {p!r}")
-    return frozenset(letter for letter in a.alphabet if p in a.targets(p, letter))
+    return frozenset(letter for letter, dsts in zip(a.alphabet, a.rows[i]) if i in dsts)
 
 
 StateMap = tuple[int, ...]
@@ -358,11 +423,9 @@ def transition_monoid(
     a: Automaton, budget: int = DEFAULT_MONOID_BUDGET
 ) -> TransitionMonoid:
     """Generate the transition monoid of a deterministic complete automaton."""
-    t = a.table
-    generators = {
-        letter: tuple(row[j] for row in t.rows) for j, letter in enumerate(a.alphabet)
-    }
-    identity = tuple(range(len(t.names)))
+    rows = dfa_rows(a)
+    generators = {letter: tuple(row[j] for row in rows) for j, letter in enumerate(a.alphabet)}
+    identity = tuple(range(len(rows)))
     elements = {identity}
     queue = deque([identity])
     while queue:
@@ -374,7 +437,7 @@ def transition_monoid(
                     raise BudgetExceededError(budget, len(elements) + 1, "monoid elements")
                 elements.add(composed)
                 queue.append(composed)
-    return TransitionMonoid(t.names, frozenset(elements), generators)
+    return TransitionMonoid(a.names, frozenset(elements), generators)
 
 
 def check_identity(

@@ -18,6 +18,7 @@ import sys
 from typing import Optional
 
 from ptlang.automata import (
+    DEFAULT_MONOID_BUDGET,
     Automaton,
     BudgetExceededError,
     ContractError,
@@ -65,27 +66,30 @@ _HEADERS = ("alphabet", "states", "initial", "accepting")
 
 def parse_automaton(text: str) -> Automaton:
     headers: dict[str, list[str]] = {}
-    triples: list[tuple[str, str, str]] = []
+    triples: list[list[str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(":")
-        if _ and head.strip() in _HEADERS:
+        line = raw.partition("#")[0]
+        if ":" in line:
+            head, _, rest = line.partition(":")
             key = head.strip()
-            if key in headers:
-                raise InputError(f"line {lineno}: duplicate header {key!r}")
-            headers[key] = rest.split()
-            continue
+            if key in _HEADERS:
+                if key in headers:
+                    raise InputError(f"line {lineno}: duplicate header {key!r}")
+                headers[key] = rest.split()
+                continue
         tokens = line.split()
+        if not tokens:
+            continue
         if len(tokens) != 3:
             raise InputError(
-                f"line {lineno}: expected 'src letter dst', got {line!r}"
+                f"line {lineno}: expected 'src letter dst', got {line.strip()!r}"
             )
-        triples.append((tokens[0], tokens[1], tokens[2]))
+        triples.append(tokens)
     for key in _HEADERS:
         if key not in headers:
             raise InputError(f"missing header {key!r}")
+    if "-" in headers["alphabet"]:
+        raise InputError("the letter '-' is reserved: it spells the empty word")
     try:
         return make_automaton(
             headers["states"],
@@ -99,18 +103,31 @@ def parse_automaton(text: str) -> Automaton:
 
 
 def serialize_automaton(a: Automaton) -> str:
+    names, alphabet = a.names, a.alphabet
+    states_text, letters_text = " ".join(names), " ".join(alphabet)
+    # Every name must stand as one token: not empty, with no whitespace and
+    # no '#'.  A transition line reads as a header when the text before its
+    # first colon, in its source state or at the start of its letter, is a
+    # header name; the letter '-' would read back as the empty word.
+    colon_letter = any(letter.startswith(":") for letter in alphabet)
+    header_like = lambda q: q.partition(":")[0] in _HEADERS and (":" in q or colon_letter)
+    checks = (("state", names, states_text, header_like), ("letter", alphabet, letters_text, "-".__eq__))
+    for kind, group, text, refused in checks:
+        if text.split() != list(group) or "#" in text or any(map(refused, group)):
+            bad = next(x for x in group if x.split() != [x] or "#" in x or refused(x))
+            raise InputError(f"{kind} {bad!r} cannot be written in the text format")
     lines = [
-        "alphabet: " + " ".join(a.alphabet),
-        "states: " + " ".join(sorted(a.states)),
-        "initial: " + " ".join(sorted(a.initials)),
-        "accepting: " + " ".join(sorted(a.accepting)),
+        "alphabet: " + letters_text,
+        "states: " + states_text,
+        "initial: " + " ".join([names[q] for q in sorted(a.starts)]),
+        "accepting: " + " ".join([names[q] for q in sorted(a.finals)]),
     ]
-    triples = sorted(
-        (src, letter, dst)
-        for (src, letter), dsts in a.transitions.items()
-        for dst in dsts
-    )
-    lines.extend(f"{src} {letter} {dst}" for src, letter, dst in triples)
+    # The triples in sorted order: states sort like their indices.
+    letters = sorted(zip(alphabet, range(len(alphabet))))
+    lines += [
+        f"{name} {letter} {names[q]}"
+        for name, row in zip(names, a.rows) for letter, j in letters for q in row[j]
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -168,7 +185,7 @@ def cmd_info(args) -> int:
     _emit(
         args,
         {
-            "states": len(a.states),
+            "states": len(a.names),
             "letters": len(a.alphabet),
             "deterministic": "yes" if a.deterministic else "no",
             "complete": "yes" if a.complete else "no",
@@ -298,65 +315,53 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="structured output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, file=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
+        if file:
+            p.add_argument("file")
         return p
 
     def add_budget(p, default=DEFAULT_CLASS_BUDGET):
         p.add_argument("--budget", type=int, default=default)
 
-    p = add("info", cmd_info, help="state/letter counts, determinism, depth")
-    p.add_argument("file")
-
-    p = add("determinize", cmd_determinize, help="subset construction")
-    p.add_argument("file")
-
-    p = add("minimize", cmd_minimize, help="minimal complete DFA (determinizes first)")
-    p.add_argument("file")
-
-    p = add("is-pt", cmd_is_pt, help="is the language piecewise testable?")
-    p.add_argument("file")
+    add("info", cmd_info, help="state/letter counts, determinism, depth")
+    add("determinize", cmd_determinize, help="subset construction")
+    add("minimize", cmd_minimize, help="minimal complete DFA (determinizes first)")
+    add("is-pt", cmd_is_pt, help="is the language piecewise testable?")
 
     p = add("is-kpt", cmd_is_kpt, help="is the language k-piecewise testable?")
     p.add_argument("--k", type=int, required=True)
     add_budget(p)
-    p.add_argument("file")
 
     p = add("min-k", cmd_min_k, help="minimal k for which the language is k-PT")
     add_budget(p)
-    p.add_argument("file")
 
     p = add("witness", cmd_witness, help="non-k-PT certificate, if one exists")
     p.add_argument("--k", type=int, required=True)
     add_budget(p)
-    p.add_argument("file")
 
     p = add("verify", cmd_verify, help="verify a non-k-PT certificate")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--w1", required=True)
     p.add_argument("--w2", required=True)
-    p.add_argument("file")
 
     p = add("decompose", cmd_decompose, help="boolean combination of pieces")
     p.add_argument("--k", type=int, required=True)
     add_budget(p)
-    p.add_argument("file")
 
-    p = add("canonical", cmd_canonical, help="the canonical DFA of k-equivalence")
+    p = add("canonical", cmd_canonical, file=False, help="the canonical DFA of k-equivalence")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--letters", type=int, required=True)
     add_budget(p)
 
-    p = add("depth", cmd_depth, help="longest path of an acyclic automaton")
-    p.add_argument("file")
+    add("depth", cmd_depth, help="longest path of an acyclic automaton")
 
     p = add("monoid", cmd_monoid, help="transition monoid of the minimal DFA")
     p.add_argument("--check-identities", type=int, choices=(1, 2, 3))
-    add_budget(p, default=10**6)
-    p.add_argument("file")
+    add_budget(p, default=DEFAULT_MONOID_BUDGET)
 
-    p = add("gen", cmd_gen, help="generate extremal automata and words")
+    p = add("gen", cmd_gen, file=False, help="generate extremal automata and words")
     gen_sub = p.add_subparsers(dest="family", required=True)
     g = gen_sub.add_parser("ak")
     g.add_argument("k", type=int)
@@ -374,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     for g in gen_sub.choices.values():
         g.set_defaults(func=cmd_gen)
 
-    p = add("pkn", cmd_pkn, help="the tight depth bound C(k+n,k)-1")
+    p = add("pkn", cmd_pkn, file=False, help="the tight depth bound C(k+n,k)-1")
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--stirling", action="store_true")

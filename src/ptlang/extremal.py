@@ -139,11 +139,13 @@ def gen_tight_depth_dfa(
     word = gen_wkn(k, n)
     alphabet = tuple(f"a{i}" for i in range(1, n + 1))
     automaton = canonical_automaton(alphabet, k, budget)
-    accepting = frozenset(
-        automaton.dstate_from("c0", word[:length])
-        for length in range(0, len(word) + 1, 2)
-    )
-    return dataclasses.replace(automaton, accepting=accepting)
+    (state,) = automaton.starts
+    accepting = {state}
+    for length, letter in enumerate(word, start=1):
+        (state,) = automaton.rows[state][alphabet.index(letter)]
+        if length % 2 == 0:
+            accepting.add(state)
+    return dataclasses.replace(automaton, finals=frozenset(accepting))
 
 
 def gen_intersection_nfa(alphabet: tuple[str, ...]) -> Automaton:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ptlang.automata import (
+    DEFAULT_ASSIGNMENT_BUDGET,
+    DEFAULT_MONOID_BUDGET,
     Automaton,
     BudgetExceededError,
     ContractError,
@@ -20,6 +22,7 @@ from ptlang.automata import (
     check_identity,
     depth,
     determinize,
+    dfa_rows,
     minimize,
     transition_monoid,
 )
@@ -79,13 +82,13 @@ class OracleAnswer:
 
 def is_0pt(a: Automaton) -> bool:
     """A minimal DFA recognizes a 0-PT language iff it has a single state."""
-    return len(a.table.names) == 1
+    return len(dfa_rows(a)) == 1
 
 
 def is_1pt(a: Automaton) -> bool:
     """Letter-level characterization of 1-PT on the minimal DFA:
     every transition target is stable under its letter, and letters commute."""
-    rows = a.table.rows
+    rows = dfa_rows(a)
     return all(
         rows[px][x] == px and all(rows[px][y] == rows[py][x] for y, py in enumerate(row))
         for row in rows
@@ -97,13 +100,12 @@ def is_2pt(a: Automaton) -> bool:
     """2-PT on the minimal DFA: PT plus s.ba = s.aba for every letter a, every
     state s reachable by a word containing a, and every b in the alphabet or
     empty."""
-    t = a.table
+    rows = dfa_rows(a)
     if not is_pt_min_dfa(a):
         return False
-    rows = t.rows
-    reachable = t.reachable((t.start,))
+    reachable = a.reachable(a.starts)
     for x in range(len(a.alphabet)):
-        for s in t.reachable({rows[q][x] for q in reachable}):
+        for s in a.reachable({rows[q][x] for q in reachable}):
             sx = rows[s][x]
             if rows[sx][x] != sx or any(
                 rows[sb][x] != rows[sxb][x] for sb, sxb in zip(rows[s], rows[sx])
@@ -114,8 +116,8 @@ def is_2pt(a: Automaton) -> bool:
 
 def is_3pt(
     a: Automaton,
-    monoid_budget: int = 10**6,
-    assignment_budget: int = 10**6,
+    monoid_budget: int = DEFAULT_MONOID_BUDGET,
+    assignment_budget: int = DEFAULT_ASSIGNMENT_BUDGET,
 ) -> Optional[bool]:
     """3-PT via the three defining identities of the transition monoid.
 
@@ -142,15 +144,16 @@ ClassStates = dict[ClassKey, tuple[int, Optional[ClassKey], Optional[str]]]
 
 
 def _class_state_map(a: Automaton, k: int, budget: int) -> Union[Certificate, ClassStates]:
-    """Pair each ~_k class with the DFA state (an index of `a.table`) its
+    """Pair each ~_k class with the DFA state (an index into `a.names`) its
     first access word reaches: the class-to-(state, parent, letter) map when
     every class meets a single state, or a Certificate for the first class
     caught meeting two."""
-    t = a.table
-    step = {(q, letter): nxt for q, row in enumerate(t.rows) for letter, nxt in zip(a.alphabet, row)}
-    seen: ClassStates = {EPSILON_CLASS: (t.start, None, None)}
+    rows = dfa_rows(a)
+    column = {letter: j for j, letter in enumerate(a.alphabet)}
+    (start,) = a.starts
+    seen: ClassStates = {EPSILON_CLASS: (start, None, None)}
     for cls, letter, nxt, first_visit in class_edges(a.alphabet, k, budget):
-        nxt_state = step[seen[cls][0], letter]
+        nxt_state = rows[seen[cls][0]][column[letter]]
         if first_visit:
             seen[nxt] = (nxt_state, cls, letter)
         else:
@@ -160,8 +163,8 @@ def _class_state_map(a: Automaton, k: int, budget: int) -> Union[Certificate, Cl
                     k,
                     _access_word(seen, nxt),
                     _access_word(seen, cls) + (letter,),
-                    t.names[prev_state],
-                    t.names[nxt_state],
+                    a.names[prev_state],
+                    a.names[nxt_state],
                 )
     return seen
 
@@ -276,9 +279,8 @@ def decompose(
     outcome = _class_state_map(a, k, budget)
     if isinstance(outcome, Certificate):
         raise ContractError("decompose requires a k-PT language at this k")
-    accepting = a.table.accepting
     access = {
-        cls: _access_word(outcome, cls) for cls, (state, _, _) in outcome.items() if state in accepting
+        cls: _access_word(outcome, cls) for cls, (state, _, _) in outcome.items() if state in a.finals
     }
     order = sorted(access, key=lambda cls: (len(access[cls]), access[cls]))
     return PieceExpression(

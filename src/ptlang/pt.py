@@ -33,21 +33,23 @@ def find_ums_violation(a: Automaton) -> Optional[tuple[str, str]]:
     """
     if not is_partially_ordered(a):
         raise ContractError("the UMS property is defined on partially ordered automata")
-    # The edges between distinct states, listed once, each labelled with the
-    # bit set of its letters: out-edges, and both directions for components.
-    bit = {letter: 1 << i for i, letter in enumerate(a.alphabet)}
-    loops = dict.fromkeys(a.states, 0)
-    out: dict[str, dict[str, int]] = {q: {} for q in a.states}
-    both: dict[str, dict[str, int]] = {q: {} for q in a.states}
-    for (src, letter), dsts in a.transitions.items():
-        for dst in dsts:
-            if dst == src:
-                loops[src] |= bit[letter]
-            else:
-                out[src][dst] = out[src].get(dst, 0) | bit[letter]
-                both[src][dst] = both[src].get(dst, 0) | bit[letter]
-                both[dst][src] = both[dst].get(src, 0) | bit[letter]
-    for p in sorted(a.states):
+    # Letter bit sets per state: its self-loops and its moves to other
+    # states; and the edges between distinct states, listed once in both
+    # directions for the components, each labelled with its letters.
+    loops = [0] * len(a.rows)
+    moves = [0] * len(a.rows)
+    both: list[dict[int, int]] = [{} for _ in a.rows]
+    for src, row in enumerate(a.rows):
+        for j, dsts in enumerate(row):
+            bit = 1 << j
+            for dst in dsts:
+                if dst == src:
+                    loops[src] |= bit
+                else:
+                    moves[src] |= bit
+                    both[src][dst] = both[src].get(dst, 0) | bit
+                    both[dst][src] = both[dst].get(src, 0) | bit
+    for p in range(len(a.rows)):
         gamma = loops[p]
         component = [p]
         seen = {p}
@@ -57,10 +59,11 @@ def find_ums_violation(a: Automaton) -> Optional[tuple[str, str]]:
                 if letters & gamma and r not in seen:
                     seen.add(r)
                     component.append(r)
-            if not any(letters & gamma for letters in out[q].values()):
+            if not moves[q] & gamma:
                 maximal.append(q)
         if maximal != [p]:
-            return (p, min(q for q in maximal if q != p))
+            # indices sort like names
+            return (a.names[p], a.names[min(q for q in maximal if q != p)])
     return None
 
 
@@ -84,7 +87,7 @@ def certify_pt_nfa(a: Automaton) -> bool:
     the test of `is_pt_min_dfa`, which is sound on complete NFAs.  False is
     inconclusive; callers fall back to the minimal-DFA check.
     """
-    return bool(a.states) and a.complete and is_pt_min_dfa(a)
+    return bool(a.names) and a.complete and is_pt_min_dfa(a)
 
 
 def is_pt(a: Automaton) -> bool:

@@ -22,7 +22,7 @@ from ptlang.automata import (
     BudgetExceededError,
     InputError,
     Word,
-    dfa_from_rows,
+    dfa_from_successors,
 )
 
 DEFAULT_CLASS_BUDGET = 2 * 10**6
@@ -222,8 +222,9 @@ def canonical_automaton(
         if first_visit:
             index[nxt] = len(index)
         successors.append(index[nxt])
-    rows = [successors[i : i + len(letters)] for i in range(0, len(successors), len(letters))]
-    return dfa_from_rows([f"c{i}" for i in range(len(index))], letters, rows, 0, ())
+    count = len(index)
+    del index  # free the classes before the states are built
+    return dfa_from_successors([f"c{i}" for i in range(count)], letters, successors, 0, ())
 
 
 def reduce_word(w: Word, k: int) -> Word:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -20,17 +21,28 @@ from ptlang import (
     CyclicAutomatonError,
     InputError,
     TransitionMonoid,
+    canonical_automaton,
     check_identity,
     complete_with_sink,
+    decompose,
     depth,
     determinize,
     gen_ak,
+    gen_intersection_nfa,
+    gen_tight_depth_dfa,
+    is_0pt,
+    is_1pt,
+    is_2pt,
+    is_3pt,
+    is_kpt_oracle,
     is_partially_ordered,
     make_automaton,
     minimize,
     self_loop_alphabet,
     transition_monoid,
 )
+from ptlang.automata import dfa_rows
+from ptlang.cli import parse_automaton, serialize_automaton
 
 
 def test_run_empty_word_gives_initials():
@@ -126,20 +138,25 @@ def test_table_rows_agree_with_dstep():
     rng = random.Random(37)
     for _ in range(200):
         a = _shuffled_complete_dfa(rng)
-        t = a.table
-        assert list(t.names) == sorted(a.states)
-        assert {t.names[t.start]} == a.initials
-        assert {t.names[q] for q in t.accepting} == a.accepting
-        for q, row in enumerate(t.rows):
-            assert [t.names[r] for r in row] == [a.dstep(t.names[q], c) for c in a.alphabet]
+        rows = dfa_rows(a)
+        assert list(a.names) == sorted(a.states)
+        assert {a.names[q] for q in a.starts} == a.initials
+        assert {a.names[q] for q in a.finals} == a.accepting
+        for q, row in enumerate(rows):
+            assert [a.names[r] for r in row] == [a.dstep(a.names[q], c) for c in a.alphabet]
+            assert [(r,) for r in row] == list(a.rows[q])
 
 
 def test_table_requires_a_complete_dfa():
-    with pytest.raises(ContractError):
-        gen_ak(1).table
     partial = make_automaton(["p", "q"], ["a"], [("p", "a", "q")], ["p"], ["q"])
-    with pytest.raises(ContractError):
-        partial.table
+    complete_dfa_algorithms = (
+        dfa_rows, minimize, transition_monoid, is_0pt, is_1pt, is_2pt, is_3pt,
+        lambda a: is_kpt_oracle(a, 2), lambda a: decompose(a, 2),
+    )
+    for algorithm in complete_dfa_algorithms:
+        for a in (gen_ak(1), partial):
+            with pytest.raises(ContractError, match="^this operation requires a deterministic complete automaton$"):
+                algorithm(a)
 
 
 def test_minimize_names_each_state_after_its_least_member():
@@ -376,3 +393,82 @@ def test_determinize_escapes_names_only_on_collision():
     # With one, every name is escaped, so {a, b} and {a,b} print apart.
     d = determinize(_collision("s", "a", "b", "a,b"))
     assert d.states == {"{s}", "{a,b}", "{a\\,b}", "{}"}
+
+
+# The stored form: sorted distinct names, sorted in-range target tuples.
+
+TRICKY_NAMES = ["q10", "q2", "q1", "a,b", "{x}", "Z", "b", "{a},{b}", "p"]
+
+
+def assert_stored_form(a):
+    n = len(a.names)
+    assert all(p < q for p, q in zip(a.names, a.names[1:]))
+    assert len(a.rows) == n
+    for row in a.rows:
+        assert len(row) == len(a.alphabet)
+        for dsts in row:
+            assert isinstance(dsts, tuple)
+            assert list(dsts) == sorted(set(dsts))
+            assert all(0 <= q < n for q in dsts)
+    assert a.starts <= set(range(n)) and a.finals <= set(range(n))
+
+
+@st.composite
+def automata_from_triples(draw):
+    states = draw(st.lists(st.sampled_from(TRICKY_NAMES), min_size=1, max_size=6, unique=True))
+    letters = draw(st.lists(st.sampled_from(["x", "y", "a1", "-x"]), max_size=3, unique=True))
+    triples = []
+    if letters:
+        triple = st.tuples(st.sampled_from(states), st.sampled_from(letters), st.sampled_from(states))
+        triples = draw(st.lists(triple, max_size=20))
+    if triples:
+        triples += draw(st.lists(st.sampled_from(triples), max_size=3))  # duplicates
+    initials = draw(st.lists(st.sampled_from(states), max_size=2))
+    accepting = draw(st.lists(st.sampled_from(states), max_size=3))
+    return states, letters, triples, initials, accepting
+
+
+@settings(max_examples=200)
+@given(automata_from_triples())
+def test_stored_form_from_triples(spec):
+    states, letters, triples, initials, accepting = spec
+    a = make_automaton(*spec)
+    expected: dict = {}
+    for src, letter, dst in triples:
+        expected.setdefault((src, letter), set()).add(dst)
+    assert a.states == set(states) and a.alphabet == tuple(letters)
+    assert a.transitions == expected
+    assert a.initials == set(initials) and a.accepting == set(accepting)
+    assert_stored_form(a)
+    assert parse_automaton(serialize_automaton(a)) == a
+    assert a.deterministic == (len(a.initials) == 1 and all(len(d) <= 1 for d in a.transitions.values()))
+    assert a.complete == all(a.transitions.get((q, c)) for q in a.states for c in a.alphabet)
+    d = determinize(a)
+    for b in (d, minimize(d), complete_with_sink(a)):
+        assert_stored_form(b)
+
+
+def test_constructions_keep_the_stored_form():
+    for letters in range(1, 4):
+        for k in range(4):
+            assert_stored_form(canonical_automaton([f"a{i}" for i in range(letters)], k))
+    for k in range(4):
+        assert_stored_form(gen_ak(k))
+    for n in range(1, 5):
+        assert_stored_form(gen_intersection_nfa(tuple(f"a{i}" for i in range(1, n + 1))))
+    for k, n in ((1, 2), (2, 2), (2, 3), (3, 2)):
+        assert_stored_form(gen_tight_depth_dfa(k, n))
+
+
+def test_name_views_are_computed_once():
+    a = gen_ak(2)
+    for view in ("states", "transitions", "initials", "accepting"):
+        assert getattr(a, view) is getattr(a, view)
+
+
+def test_replace_swaps_accepting_states_by_name():
+    d = determinize(gen_ak(1))
+    start = next(iter(d.initials))
+    swapped = dataclasses.replace(d, accepting={start})
+    assert swapped.accepting == {start} and swapped.finals == d.starts
+    assert swapped.rows is d.rows and swapped.names is d.names

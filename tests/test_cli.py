@@ -6,7 +6,7 @@ import time
 import pytest
 from conftest import all_words, languages_agree, random_nfa
 
-from ptlang import InputError, cli, gen_ak, gen_wk, pkn
+from ptlang import InputError, cli, gen_ak, gen_wk, make_automaton, pkn
 from ptlang.cli import (
     load_automaton,
     main,
@@ -85,6 +85,44 @@ def test_serialize_round_trip_random():
         a = random_nfa(rng)
         b = parse_automaton(serialize_automaton(a))
         assert a == b
+
+
+@pytest.mark.parametrize("name", ["p#1", "p q", "alphabet:", ""])
+def test_serialize_refuses_a_state_name_it_cannot_carry(name):
+    a = make_automaton([name, "r"], ["a"], [(name, "a", "r")], [name], [])
+    with pytest.raises(InputError, match=f"state {name!r} cannot be written"):
+        serialize_automaton(a)
+
+
+@pytest.mark.parametrize("letter", ["a#1", "a b", "", "-"])
+def test_serialize_refuses_a_letter_it_cannot_carry(letter):
+    a = make_automaton(["p"], [letter], [("p", letter, "p")], ["p"], [])
+    with pytest.raises(InputError, match=f"letter {letter!r} cannot be written"):
+        serialize_automaton(a)
+
+
+def test_serialize_carries_names_with_colons_and_separators():
+    names = ["a:b", "states", "x:alphabet:", "{a},{b}", "-"]
+    a = make_automaton(names, ["alphabet:", "x:"], [(q, "x:", "-") for q in names], ["a:b"], ["-"])
+    assert parse_automaton(serialize_automaton(a)) == a
+    # "states :" would start a line that reads as the states header.
+    b = make_automaton(["states"], [":"], [("states", ":", "states")], ["states"], [])
+    with pytest.raises(InputError, match="state 'states' cannot be written"):
+        serialize_automaton(b)
+
+
+def test_parse_refuses_the_empty_word_as_a_letter():
+    with pytest.raises(InputError, match="'-' is reserved"):
+        parse_automaton("alphabet: - a\nstates: q\ninitial: q\naccepting: q\nq - q\nq a q\n")
+
+
+def test_cli_refuses_a_dash_letter_before_witness(tmp_path, capsys):
+    # Over letters '-' and 'a', the pair (epsilon, '-') would print as '-'
+    # and '-', and verify would read both back as the empty word.
+    path = tmp_path / "dash.aut"
+    path.write_text("alphabet: - a\nstates: p q\ninitial: p\naccepting: q\np - q\np a p\nq - q\nq a q\n")
+    assert main(["witness", "--k", "0", str(path)]) == 2
+    assert "'-' is reserved" in capsys.readouterr().err
 
 
 def test_parse_word():

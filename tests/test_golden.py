@@ -5,7 +5,9 @@ certificate words, the clause order and the c0, c1, ... discovery order
 byte for byte.
 
 Sets print in hash order, so `canonical` sorts every set and mapping before
-`repr`; tuples, which carry the orders pinned here, keep theirs.
+`repr`; tuples, which carry the orders pinned here, keep theirs.  An
+automaton is read through its five name views in a fixed order, so that its
+digest does not depend on how it is stored.
 """
 
 import dataclasses
@@ -26,7 +28,12 @@ from ptlang import (
 )
 
 
+AUTOMATON_VIEWS = ("states", "alphabet", "transitions", "initials", "accepting")
+
+
 def canonical(x):
+    if isinstance(x, Automaton):
+        return ("Automaton", tuple(canonical(getattr(x, view)) for view in AUTOMATON_VIEWS))
     if dataclasses.is_dataclass(x):
         return (type(x).__name__, tuple(canonical(getattr(x, f.name)) for f in dataclasses.fields(x)))
     if isinstance(x, (set, frozenset)):
