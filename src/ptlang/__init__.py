@@ -49,7 +49,6 @@ from ptlang.kpt import (
     is_3pt,
     is_kpt,
     is_kpt_oracle,
-    make_certificate,
     min_k,
     verify_certificate,
     verify_pair,

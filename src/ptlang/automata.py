@@ -21,7 +21,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 Word = tuple[str, ...]
 
 DEFAULT_MONOID_BUDGET = 10**6
-DEFAULT_ASSIGNMENT_BUDGET = 10**6
 
 
 class InputError(ValueError):
@@ -128,20 +127,6 @@ class Automaton:
                         stack.append(nxt)
         return seen
 
-    def targets(self, q: str, a: str) -> frozenset[str]:
-        i = self._index(q)
-        if i is None or a not in self.alphabet:
-            return frozenset()
-        return frozenset(self.names[r] for r in self.rows[i][self.alphabet.index(a)])
-
-    def step(self, current: Iterable[str], a: str) -> frozenset[str]:
-        if a not in self.alphabet:
-            raise InputError(f"unknown letter {a!r}")
-        out: set[str] = set()
-        for q in current:
-            out |= self.targets(q, a)
-        return frozenset(out)
-
     def run(self, w: Word) -> frozenset[str]:
         """The set of states reached from the initial states under `w`."""
         current: Iterable[int] = self.starts
@@ -162,18 +147,6 @@ class Automaton:
             raise ContractError("dstate requires a deterministic automaton")
         reached = self.run(w)
         return next(iter(reached)) if reached else None
-
-    def dstep(self, q: str, a: str) -> Optional[str]:
-        dsts = self.targets(q, a)
-        return next(iter(dsts)) if dsts else None
-
-    def dstate_from(self, q: str, w: Word) -> Optional[str]:
-        """Deterministic run starting at `q` instead of the initial state."""
-        for a in w:
-            if q is None:
-                return None
-            q = self.dstep(q, a)
-        return q
 
 
 def make_automaton(
@@ -412,12 +385,6 @@ class TransitionMonoid:
         """The map 'apply first, then second'."""
         return tuple(second[x] for x in first)
 
-    def evaluate(self, assignment: Mapping[str, StateMap], word: str) -> StateMap:
-        out = self.identity
-        for symbol in word:
-            out = self.compose(out, assignment[symbol])
-        return out
-
 
 def transition_monoid(
     a: Automaton, budget: int = DEFAULT_MONOID_BUDGET
@@ -444,39 +411,33 @@ def check_identity(
     m: TransitionMonoid,
     lhs: str,
     rhs: str,
-    budget: int = DEFAULT_ASSIGNMENT_BUDGET,
+    budget: int = DEFAULT_MONOID_BUDGET,
 ) -> Optional[dict[str, StateMap]]:
     """Check an identity such as ``xy = yx`` over all assignments of elements.
 
     `lhs` and `rhs` are words over single-character variable names.  Returns
-    None when the identity holds, otherwise one violating assignment.
+    None when the identity holds, otherwise one violating assignment.  Words
+    are read through the size x size composition table, whose cells count
+    against the budget like the size^variables assignments.
     """
     variables = sorted(set(lhs) | set(rhs))
     size = len(m.elements)
-    if size ** len(variables) > budget:
-        raise BudgetExceededError(budget, size ** len(variables), "assignments")
+    needed = max(size * size, size ** len(variables))
+    if needed > budget:
+        raise BudgetExceededError(budget, needed, "assignments")
     pool = sorted(m.elements)
-    if size * size <= 4 * 10**6:
-        # Precomputed composition table: word evaluation becomes index lookups.
-        index = {e: i for i, e in enumerate(pool)}
-        table = [
-            [index[TransitionMonoid.compose(e, f)] for f in pool] for e in pool
-        ]
-        identity = index[m.identity]
-        lhs_vars = [variables.index(c) for c in lhs]
-        rhs_vars = [variables.index(c) for c in rhs]
-        for choice in itertools.product(range(size), repeat=len(variables)):
-            left = identity
-            for v in lhs_vars:
-                left = table[left][choice[v]]
-            right = identity
-            for v in rhs_vars:
-                right = table[right][choice[v]]
-            if left != right:
-                return {variables[i]: pool[choice[i]] for i in range(len(variables))}
-        return None
-    for choice in itertools.product(pool, repeat=len(variables)):
-        assignment = dict(zip(variables, choice))
-        if m.evaluate(assignment, lhs) != m.evaluate(assignment, rhs):
-            return assignment
+    index = {e: i for i, e in enumerate(pool)}
+    table = [[index[TransitionMonoid.compose(e, f)] for f in pool] for e in pool]
+    identity = index[m.identity]
+    lhs_vars = [variables.index(c) for c in lhs]
+    rhs_vars = [variables.index(c) for c in rhs]
+    for choice in itertools.product(range(size), repeat=len(variables)):
+        left = identity
+        for v in lhs_vars:
+            left = table[left][choice[v]]
+        right = identity
+        for v in rhs_vars:
+            right = table[right][choice[v]]
+        if left != right:
+            return {variables[i]: pool[choice[i]] for i in range(len(variables))}
     return None

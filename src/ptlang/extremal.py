@@ -14,7 +14,8 @@ from itertools import chain, combinations
 from ptlang.automata import Automaton, InputError, Word, make_automaton
 from ptlang.subwords import DEFAULT_CLASS_BUDGET, canonical_automaton
 
-# The longest word gen_wk and gen_wkn build; longer ones would exhaust memory.
+# The longest word gen_wk and gen_wkn build, and the most transitions gen_ak
+# builds; more would exhaust memory.
 MAX_WORD_LENGTH = 2**21
 
 # The most decimal digits of a result of pkn and pkn_stirling.  It stays
@@ -36,6 +37,8 @@ def gen_ak(k: int) -> Automaton:
     """
     if k < 0:
         raise InputError("k must be non-negative")
+    if k * (k + 1) > MAX_WORD_LENGTH:  # 2i transitions leave state i
+        raise InputError(f"A_{k} would have more than {MAX_WORD_LENGTH} transitions")
     states = [str(i) for i in range(k + 1)]
     alphabet = [f"a{i}" for i in range(k + 1)]
     triples = []
@@ -80,7 +83,7 @@ def _log10_binomial(m: int, j: int) -> float:
 
 
 def pkn_stirling(k: int, n: int) -> int:
-    """P(k, n) evaluated through Stirling cycle numbers:
+    """P(k, n) computed through Stirling cycle numbers:
     (1/k!) * sum_i [k+1, i+1] * n^i for i = 1..k."""
     if k < 1 or n < 1:
         raise InputError("k and n must be positive")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ptlang.automata import (
-    DEFAULT_ASSIGNMENT_BUDGET,
     DEFAULT_MONOID_BUDGET,
     Automaton,
     BudgetExceededError,
@@ -114,24 +113,21 @@ def is_2pt(a: Automaton) -> bool:
     return True
 
 
-def is_3pt(
-    a: Automaton,
-    monoid_budget: int = DEFAULT_MONOID_BUDGET,
-    assignment_budget: int = DEFAULT_ASSIGNMENT_BUDGET,
-) -> Optional[bool]:
+def is_3pt(a: Automaton, budget: int = DEFAULT_MONOID_BUDGET) -> Optional[bool]:
     """3-PT via the three defining identities of the transition monoid.
 
-    Returns None when the monoid or the assignment space outgrows its
-    budget; callers fall back to the generic oracle.
+    The budget bounds both the monoid's elements and each identity's
+    assignments.  Returns None when either outgrows it; callers fall back to
+    the generic oracle.
     """
     try:
-        monoid = transition_monoid(a, budget=monoid_budget)
+        monoid = transition_monoid(a, budget)
     except BudgetExceededError:
         return None
     undecided = False
     for lhs, rhs in THREE_PT_IDENTITIES:
         try:
-            if check_identity(monoid, lhs, rhs, budget=assignment_budget) is not None:
+            if check_identity(monoid, lhs, rhs, budget) is not None:
                 return False
         except BudgetExceededError:
             undecided = True
@@ -195,9 +191,9 @@ def is_kpt_oracle(
 def is_kpt(a: Automaton, k: int, budget: int = DEFAULT_CLASS_BUDGET) -> OracleAnswer:
     """Decide k-PT on a minimal complete DFA, cheapest check first.
 
-    k = 0..2 use the specialized deciders; k = 3 tries the monoid identities.
-    Before the oracle, a language that is not PT is "no" at every k, and a
-    PT one is k-PT for every k at least the depth of its minimal DFA.
+    k = 0..2 use the specialized deciders.  From k = 3 on, a language that
+    is not PT is "no"; a PT one is tried on the monoid identities at k = 3,
+    and is k-PT for every k at least the depth of its minimal DFA.
     """
     if not a.deterministic or not a.complete:
         raise ContractError("is_kpt expects a minimal complete DFA")
@@ -209,12 +205,12 @@ def is_kpt(a: Automaton, k: int, budget: int = DEFAULT_CLASS_BUDGET) -> OracleAn
         return OracleAnswer("yes" if is_1pt(a) else "no")
     if k == 2:
         return OracleAnswer("yes" if is_2pt(a) else "no")
+    if not is_pt_min_dfa(a):
+        return OracleAnswer("no")
     if k == 3:
         verdict = is_3pt(a)
         if verdict is not None:
             return OracleAnswer("yes" if verdict else "no")
-    if not is_pt_min_dfa(a):
-        return OracleAnswer("no")
     if k >= depth(a):
         return OracleAnswer("yes")
     return is_kpt_oracle(a, k, budget)
@@ -231,14 +227,6 @@ def verify_pair(a: Automaton, k: int, w1: Word, w2: Word) -> bool:
         return False
     s1, s2 = a.dstate(w1), a.dstate(w2)
     return s1 is not None and s2 is not None and s1 != s2
-
-
-def make_certificate(a: Automaton, k: int, w1: Word, w2: Word) -> Certificate:
-    """Package a witness pair with the states the words actually reach."""
-    s1, s2 = a.dstate(w1), a.dstate(w2)
-    if s1 is None or s2 is None:
-        raise ContractError("witness words must reach a state of the DFA")
-    return Certificate(k, w1, w2, s1, s2)
 
 
 def verify_certificate(a: Automaton, c: Certificate) -> bool:

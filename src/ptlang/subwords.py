@@ -215,6 +215,8 @@ def canonical_automaton(
     letters = tuple(alphabet)
     if not letters:
         raise InputError("alphabet must be nonempty")
+    if len(set(letters)) != len(letters):
+        raise InputError("duplicate letters in alphabet")
     # Edges come class by class in discovery order, letters in alphabet order.
     index = {EPSILON_CLASS: 0}
     successors: list[int] = []

@@ -30,6 +30,14 @@ def languages_agree(a: Automaton, b: Automaton, words) -> bool:
     return all(a.accepts(w) == b.accepts(w) for w in words)
 
 
+def dfa_walk(a: Automaton, q: str, w) -> str:
+    """The state a complete DFA reaches from state `q` under `w`, read off
+    the name-keyed `transitions` view rather than the integer rows."""
+    for x in w:
+        (q,) = a.transitions[q, x]
+    return q
+
+
 def brute_locally_confluent(a: Automaton, max_len=8) -> bool:
     """Word-search reference for local confluence of a complete DFA: for each
     state q and letters x, y, some word over {x, y} takes q.x and q.y to the
@@ -38,9 +46,9 @@ def brute_locally_confluent(a: Automaton, max_len=8) -> bool:
     for q in a.states:
         for x in a.alphabet:
             for y in a.alphabet:
-                p1, p2 = a.dstep(q, x), a.dstep(q, y)
+                p1, p2 = dfa_walk(a, q, (x,)), dfa_walk(a, q, (y,))
                 if not any(
-                    a.dstate_from(p1, w) == a.dstate_from(p2, w)
+                    dfa_walk(a, p1, w) == dfa_walk(a, p2, w)
                     for w in all_words((x, y), max_len)
                 ):
                     return False

@@ -8,6 +8,7 @@ from conftest import (
     all_words,
     dfa_only_epsilon,
     dfa_piece,
+    dfa_walk,
     has_cycle_dfs,
     languages_agree,
     random_complete_dfa,
@@ -134,7 +135,7 @@ def _shuffled_complete_dfa(rng):
     return make_automaton(names, letters, triples, [names[0]], rng.sample(names, rng.randint(0, len(names))))
 
 
-def test_table_rows_agree_with_dstep():
+def test_table_rows_agree_with_transitions():
     rng = random.Random(37)
     for _ in range(200):
         a = _shuffled_complete_dfa(rng)
@@ -143,7 +144,7 @@ def test_table_rows_agree_with_dstep():
         assert {a.names[q] for q in a.starts} == a.initials
         assert {a.names[q] for q in a.finals} == a.accepting
         for q, row in enumerate(rows):
-            assert [a.names[r] for r in row] == [a.dstep(a.names[q], c) for c in a.alphabet]
+            assert [{a.names[r]} for r in row] == [a.transitions[a.names[q], c] for c in a.alphabet]
             assert [(r,) for r in row] == list(a.rows[q])
 
 
@@ -169,7 +170,7 @@ def test_minimize_names_each_state_after_its_least_member():
         reachable = {a.dstate(w) for w in probes}
 
         def residual(dfa, q):
-            return tuple(dfa.dstate_from(q, w) in dfa.accepting for w in probes)
+            return tuple(dfa_walk(dfa, q, w) in dfa.accepting for w in probes)
 
         merged = {}
         for q in reachable:
@@ -187,7 +188,7 @@ def test_complete_with_sink():
     assert done.complete
     assert len(done.states) == len(a2.states) + 1
     sink = next(iter(done.states - a2.states))
-    assert done.targets("0", "a0") == frozenset({sink})
+    assert done.transitions["0", "a0"] == frozenset({sink})
     assert languages_agree(a2, done, all_words(a2.alphabet, 5))
     # already complete: unchanged, no sink added
     assert complete_with_sink(done) is done
@@ -283,19 +284,16 @@ def test_check_identity_violation():
 def test_check_identity_beyond_the_table():
     # The full transformation monoid on 5 states, generated by a 5-cycle, a
     # transposition and the map 0 -> 1 fixing the rest, has 5^5 = 3125
-    # elements: too many for a composition table, so words are evaluated
-    # element by element.
+    # elements.  Its composition table has 3125^2 cells, more than the
+    # default budget, even for an identity in one variable.
     states = [str(i) for i in range(5)]
     triples = [(str(i), "c", str((i + 1) % 5)) for i in range(5)]
     triples += [("0", "t", "1"), ("1", "t", "0")] + [(str(i), "t", str(i)) for i in range(2, 5)]
     triples += [("0", "e", "1")] + [(str(i), "e", str(i)) for i in range(1, 5)]
     m = transition_monoid(make_automaton(states, ["c", "t", "e"], triples, ["0"], []))
     assert len(m.elements) == 3125
-    violation = check_identity(m, "x", "xx")
-    assert violation is not None
-    x = violation["x"]
-    assert TransitionMonoid.compose(x, x) != x
-    assert check_identity(m, "xx", "xx") is None
+    with pytest.raises(BudgetExceededError, match=r"^budget of 1000000 assignments exceeded \(reached 9765625\)$"):
+        check_identity(m, "x", "xx")
 
 
 def test_check_identity_budget():
@@ -363,8 +361,8 @@ def test_minimize_preserves_language_and_distinguishes():
                 if p >= q:
                     continue
                 assert any(
-                    (m.dstate_from(p, w) in m.accepting)
-                    != (m.dstate_from(q, w) in m.accepting)
+                    (dfa_walk(m, p, w) in m.accepting)
+                    != (dfa_walk(m, q, w) in m.accepting)
                     for w in probes
                 ), (p, q)
 

@@ -248,6 +248,17 @@ def test_cli_monoid(ab_piece_file, parity_file, capsys):
     assert "x=xx: violated" in out
 
 
+def test_cli_monoid_budget_bounds_each_identity(tmp_path, capsys):
+    # A_1's minimal DFA has a 4-element monoid, so xy=yx needs 16
+    # assignments: a budget of 10 is too small and 16 is enough.
+    path = tmp_path / "a1.aut"
+    path.write_text(serialize_automaton(gen_ak(1)))
+    assert main(["monoid", "--check-identities", "1", "--budget", "10", str(path)]) == 3
+    assert capsys.readouterr().err == "error: budget of 10 assignments exceeded (reached 16)\n"
+    assert main(["monoid", "--check-identities", "1", "--budget", "16", str(path)]) == 1
+    assert capsys.readouterr().out == "size: 4\nx=xx: violated\nxy=yx: violated\n"
+
+
 def test_cli_gen_ak_round_trip(tmp_path, capsys):
     assert main(["gen", "ak", "2"]) == 0
     text = capsys.readouterr().out

@@ -93,6 +93,15 @@ def test_gen_ak_rejects_negative():
         gen_ak(-1)
 
 
+def test_gen_ak_stops_at_the_transition_cap():
+    # A_k has k(k+1) transitions; the cap is 2^21, the word-length cap, so
+    # A_1447 (2,095,256 transitions) is the largest built.
+    assert 1447 * 1448 <= 2**21 < 1448 * 1449
+    for k in (1448, 10**9):
+        with pytest.raises(InputError, match="transitions"):
+            gen_ak(k)
+
+
 def test_gen_wk_values():
     assert gen_wk(0) == ("a0",)
     assert gen_wk(1) == ("a0", "a1", "a0")

@@ -11,6 +11,7 @@ from conftest import (
     random_min_dfa,
 )
 
+from ptlang import kpt
 from ptlang import (
     Certificate,
     ContractError,
@@ -27,9 +28,9 @@ from ptlang import (
     is_kpt,
     is_kpt_oracle,
     make_automaton,
-    make_certificate,
     min_k,
     minimize,
+    pkn,
     verify_certificate,
     verify_pair,
 )
@@ -67,14 +68,36 @@ def test_is_2pt_examples():
 def test_is_3pt_examples():
     assert is_3pt(dfa_piece(("a", "b", "a"), ("a", "b"))) is True
     assert is_3pt(min_dfa(gen_ak(2))) is True
-    assert is_3pt(min_dfa(gen_ak(3)), assignment_budget=2 * 10**6) is False
+    assert is_3pt(min_dfa(gen_ak(3)), budget=2 * 10**6) is False
     assert is_3pt(min_dfa(dfa_parity())) is False
 
 
 def test_is_3pt_budget_returns_unknown():
-    # 16 monoid elements and 5 variables exceed the default assignment budget
+    # 16 monoid elements and 5 variables exceed the default budget
     assert is_3pt(min_dfa(gen_ak(3))) is None
-    assert is_3pt(min_dfa(gen_ak(2)), monoid_budget=2) is None
+    assert is_3pt(min_dfa(gen_ak(2)), budget=2) is None
+
+
+def test_is_kpt_asks_is_3pt_only_of_pt_languages(monkeypatch):
+    # A 9-cycle and a transposition generate S_9: the minimal DFA has 9
+    # states and 9! monoid elements, and its cycles make it not PT.
+    states = [f"q{i}" for i in range(9)]
+    triples = [(f"q{i}", "c", f"q{(i + 1) % 9}") for i in range(9)]
+    triples += [("q0", "t", "q1"), ("q1", "t", "q0")] + [(f"q{i}", "t", f"q{i}") for i in range(2, 9)]
+    s9 = min_dfa(make_automaton(states, ["c", "t"], triples, ["q0"], ["q0"]))
+    assert len(s9.names) == 9
+    asked = []
+
+    def recording_is_3pt(a):
+        asked.append(a)
+        return True
+
+    monkeypatch.setattr(kpt, "is_3pt", recording_is_3pt)
+    assert is_kpt(s9, 3).verdict == "no"
+    assert asked == []
+    piece = dfa_piece(("a", "b", "a"), ("a", "b"))
+    assert is_kpt(piece, 3).verdict == "yes"
+    assert asked == [piece]
 
 
 def test_oracle_on_ak_family():
@@ -159,7 +182,7 @@ def test_verify_pair_and_certificate_roundtrip():
     assert not verify_pair(m, 4, w[:-1], w)  # not 4-equivalent
     assert not verify_pair(m, 3, w, w)  # same state
     assert not verify_pair(m, 10**9, w, w)  # answered without 10**9 levels
-    c = make_certificate(m, 3, w[:-1], w)
+    c = Certificate(3, w[:-1], w, m.dstate(w[:-1]), m.dstate(w))
     assert verify_certificate(m, c)
     wrong_state = Certificate(c.k, c.w1, c.w2, c.state2, c.state1)
     assert not verify_certificate(m, wrong_state)
@@ -186,6 +209,23 @@ def test_min_k_interval_on_budget():
     lo, hi = min_k(m, budget=5)
     assert lo <= 4 <= hi
     assert hi == depth(min_dfa(m))
+
+
+def test_depth_within_the_tight_bound_at_min_k():
+    # The paper's bound read the other way: the minimal DFA of a k-PT
+    # language over n letters has depth at most P(k, n) = C(k+n, k) - 1.
+    rng = random.Random(67)
+    checked = 0
+    for letters in (("a", "b"), ("a", "b", "c")):
+        for _ in range(150):
+            m = random_min_dfa(rng, max_states=6, letters=letters)
+            k = min_k(m)
+            if k is None or k == 0:
+                continue
+            assert isinstance(k, int)
+            assert depth(m) <= pkn(k, len(m.alphabet)), (m, k)
+            checked += 1
+    assert checked >= 50
 
 
 def test_min_k_bounded_by_depth():

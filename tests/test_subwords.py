@@ -222,6 +222,12 @@ def test_canonical_automaton_is_partially_ordered_and_monotone():
         assert sub2[src] <= sub2[dst]
 
 
+def test_canonical_automaton_refuses_duplicate_letters():
+    # make_automaton refuses the same alphabet, and so does the text format
+    with pytest.raises(InputError, match="^duplicate letters in alphabet$"):
+        canonical_automaton(["a", "a"], 2)
+
+
 def test_canonical_automaton_budget():
     with pytest.raises(BudgetExceededError):
         canonical_automaton(["a", "b"], 2, budget=3)
