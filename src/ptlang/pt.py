@@ -7,6 +7,12 @@ ordered and locally confluent is an equivalent condition; the tests check
 the UMS decision against a word search for it.  The UMS form also yields a
 sound certificate on complete partially ordered NFAs, with no
 determinization.
+
+`find_ums_violation` checks every state at once, in one pass per window of
+4,096 state indices over the states in reverse topological order.  Per
+window it costs O(moves) big-integer operations on integers of at most
+4,096 bits, so its bit sets take at most n * 512 bytes for n states; the
+order comes from Kahn's algorithm, which is also its partial-order test.
 """
 
 from __future__ import annotations
@@ -17,9 +23,13 @@ from ptlang.automata import (
     Automaton,
     ContractError,
     determinize,
-    is_partially_ordered,
     minimize,
 )
+
+
+# States per pass of `find_ums_violation`: its bit sets hold at most this
+# many bits, so they take at most n * 512 bytes for n states.
+UMS_WINDOW = 4096
 
 
 def find_ums_violation(a: Automaton) -> Optional[tuple[str, str]]:
@@ -29,42 +39,94 @@ def find_ums_violation(a: Automaton) -> Optional[tuple[str, str]]:
     restricted to the letters with a self-loop at p; within the weakly
     connected component of p, a state is maximal when it has no outgoing
     edge to a different state.  Returns None when every p is the unique
-    maximal state of its component.
+    maximal state of its component; otherwise p is the least violating
+    state and q the least other maximal state of p's component.
     """
-    if not is_partially_ordered(a):
+    n = len(a.rows)
+    # The moves between distinct states, as (letter index, target) pairs;
+    # the in-degrees for Kahn's order; and per window of UMS_WINDOW states,
+    # per letter, the bit set of the window's states that loop on it.
+    moves: list[list[tuple[int, int]]] = []
+    indegree = [0] * n
+    loops: list[list[int]] = []
+    for lo in range(0, n, UMS_WINDOW):
+        window = [0] * len(a.alphabet)
+        for q in range(lo, min(n, lo + UMS_WINDOW)):
+            out = []
+            for j, dsts in enumerate(a.rows[q]):
+                for r in dsts:
+                    if r == q:
+                        window[j] |= 1 << (q - lo)
+                    else:
+                        out.append((j, r))
+                        indegree[r] += 1
+            moves.append(out)
+        loops.append(window)
+    order = [q for q, d in enumerate(indegree) if not d]
+    for q in order:
+        for _, r in moves[q]:
+            indegree[r] -= 1
+            if not indegree[r]:
+                order.append(r)
+    if len(order) < n:
         raise ContractError("the UMS property is defined on partially ordered automata")
-    # Letter bit sets per state: its self-loops and its moves to other
-    # states; and the edges between distinct states, listed once in both
-    # directions for the components, each labelled with its letters.
-    loops = [0] * len(a.rows)
-    moves = [0] * len(a.rows)
-    both: list[dict[int, int]] = [{} for _ in a.rows]
-    for src, row in enumerate(a.rows):
-        for j, dsts in enumerate(row):
-            bit = 1 << j
-            for dst in dsts:
-                if dst == src:
-                    loops[src] |= bit
-                else:
-                    moves[src] |= bit
-                    both[src][dst] = both[src].get(dst, 0) | bit
-                    both[dst][src] = both[dst].get(src, 0) | bit
-    for p in range(len(a.rows)):
-        gamma = loops[p]
-        component = [p]
-        seen = {p}
-        maximal = []
-        for q in component:
-            for r, letters in both[q].items():
-                if letters & gamma and r not in seen:
-                    seen.add(r)
-                    component.append(r)
-            if not moves[q] & gamma:
-                maximal.append(q)
-        if maximal != [p]:
-            # indices sort like names
-            return (a.names[p], a.names[min(q for q in maximal if q != p)])
+    order.reverse()
+    visit = order
+    if len(loops) > 1:
+        # Bit w of hits[q]: q reaches a state of window w, which a pass over
+        # window w must then visit.
+        hits = [0] * n
+        for q in order:
+            h = 1 << q // UMS_WINDOW
+            for _, r in moves[q]:
+                h |= hits[r]
+            hits[q] = h
+    # One pass per window, successors first.  reach[q] holds the window's
+    # states p that q reaches by moves on p's self-loop letters; p breaks
+    # UMS iff some move q -x-> r has p in reach[q], an x-loop at p, and p
+    # not in reach[r].  `miss` collects, over q's moves, the looping states
+    # that the move's target does not reach.
+    for w, window in enumerate(loops):
+        lo = w * UMS_WINDOW
+        if len(loops) > 1:
+            visit = [q for q in order if hits[q] >> w & 1]
+        reach = [0] * n
+        bad = 0
+        for q in visit:
+            here = 1 << (q - lo) if lo <= q < lo + UMS_WINDOW else 0
+            miss = 0
+            for j, r in moves[q]:
+                x = window[j]
+                t = x & reach[r]
+                here |= t
+                miss |= x ^ t
+            bad |= here & miss
+            reach[q] = here
+        if bad:
+            p = lo + (bad & -bad).bit_length() - 1
+            return a.names[p], a.names[_other_maximal(a, moves, p)]
     return None
+
+
+def _other_maximal(a: Automaton, moves: list[list[tuple[int, int]]], p: int) -> int:
+    """The least maximal state other than p in p's self-loop component."""
+    gamma = {j for j, dsts in enumerate(a.rows[p]) if p in dsts}
+    links: list[list[int]] = [[] for _ in moves]
+    stuck = [True] * len(moves)
+    for q, out in enumerate(moves):
+        for j, r in out:
+            if j in gamma:
+                links[q].append(r)
+                links[r].append(q)
+                stuck[q] = False
+    component = [p]
+    seen = {p}
+    for q in component:
+        for r in links[q]:
+            if r not in seen:
+                seen.add(r)
+                component.append(r)
+    return min(q for q in component if stuck[q] and q != p)
 
 
 def satisfies_ums(a: Automaton) -> bool:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     brute_locally_confluent,
     dfa_ab_star,
@@ -152,12 +154,82 @@ def test_ums_matches_state_by_state_reference():
     cases += [m for m in drawn if is_partially_ordered(m)]
     cases += [complete_with_sink(gen_ak(k)) for k in range(6)]
     cases += [gen_intersection_nfa(tuple(f"a{i}" for i in range(n))) for n in range(1, 7)]
+    cases += [
+        make_automaton([], [], [], [], []),
+        make_automaton([], ["a"], [], [], []),
+        make_automaton(["p", "q"], [], [], ["p"], ["q"]),
+        # a loop and a move on one letter: p is not maximal in its component
+        make_automaton(["p", "q"], ["a"], [("p", "a", "p"), ("p", "a", "q"), ("q", "a", "q")], ["p"], ["q"]),
+        make_automaton(
+            ["p", "q", "r"], ["a", "b"],
+            [("p", "a", "p"), ("p", "a", "r"), ("p", "b", "q"), ("q", "a", "q"), ("q", "b", "q"),
+             ("r", "a", "r"), ("r", "b", "r")],
+            ["p"], ["r"],
+        ),
+        # several initial states
+        make_automaton(
+            ["p", "q1", "q2"], ["a", "b"],
+            [("p", "b", "q1"), ("p", "b", "q2"), ("q1", "a", "q1"), ("q1", "b", "q1"), ("q2", "b", "q2")],
+            ["p", "q1", "q2"], ["q1"],
+        ),
+        make_automaton(["p", "q"], ["a"], [("p", "a", "p"), ("q", "a", "q")], ["p", "q"], ["p"]),
+    ]
     violations = 0
     for a in cases:
         expected = reference_ums_violation(a)
         assert find_ums_violation(a) == expected, a
         violations += expected is not None
     assert 0 < violations < len(cases)
+
+
+def _beside_intersection_nfa(gadget):
+    """The 12-letter intersection NFA (4,096 states, no UMS violation) with
+    the triples of `gadget` added; gadget states are named "~..." so they
+    sort after every "{...}" state, past the first 4,096 indices."""
+    a = gen_intersection_nfa(tuple(f"a{i}" for i in range(12)))
+    triples = [(q, x, r) for (q, x), rs in a.transitions.items() for r in rs] + gadget
+    states = sorted(a.states | {q for q, _, r in gadget} | {r for _, _, r in gadget})
+    return make_automaton(states, a.alphabet, triples, a.initials, a.accepting)
+
+
+def test_ums_beyond_the_first_window():
+    # ~q1 and ~q2 both loop on a0 and share ~p: the only violation is ~q1,
+    # at index 4,097
+    a = _beside_intersection_nfa(
+        [("~p", "a0", "~q1"), ("~p", "a0", "~q2"), ("~q1", "a0", "~q1"), ("~q2", "a0", "~q2")]
+    )
+    assert len(a.names) == 4099
+    assert find_ums_violation(a) == ("~q1", "~q2")
+    # ~p joins {a0}'s a0-edges to ~q1, a maximal state, so every state
+    # looping on a0, the full letter set (index 0) first, now violates;
+    # its partner lies past the first window
+    b = _beside_intersection_nfa([("~p", "a0", "~q1"), ("~p", "a0", "{a0}"), ("~q1", "a0", "~q1")])
+    assert find_ums_violation(b) == ("{a0,a1,a10,a11,a2,a3,a4,a5,a6,a7,a8,a9}", "~q1")
+    assert find_ums_violation(_beside_intersection_nfa([])) is None
+
+
+@st.composite
+def po_complete_nfas(draw):
+    """Complete NFAs whose moves never lead to an earlier state."""
+    names = [f"q{i}" for i in range(draw(st.integers(0, 10)))]
+    letters = tuple("abcd"[: draw(st.integers(0, 4))])
+    triples = [
+        (q, x, r)
+        for i, q in enumerate(names)
+        for x in letters
+        for r in draw(st.sets(st.sampled_from(names[i:]), min_size=1))
+    ]
+    initials = draw(st.sets(st.sampled_from(names))) if names else set()
+    accepting = draw(st.sets(st.sampled_from(names))) if names else set()
+    return make_automaton(names, letters, triples, initials, accepting)
+
+
+@settings(max_examples=200, deadline=None)
+@given(po_complete_nfas())
+def test_ums_and_certificate_properties(a):
+    assert find_ums_violation(a) == reference_ums_violation(a)
+    if certify_pt_nfa(a):
+        assert is_pt_min_dfa(minimize(determinize(a)))
 
 
 def test_nfa_certificate_soundness():
