@@ -127,8 +127,8 @@ class Automaton:
                         stack.append(nxt)
         return seen
 
-    def run(self, w: Word) -> frozenset[str]:
-        """The set of states reached from the initial states under `w`."""
+    def _run(self, w: Word) -> Iterable[int]:
+        """The indices of the states reached from the initial states under `w`."""
         current: Iterable[int] = self.starts
         for a in w:
             try:
@@ -136,10 +136,14 @@ class Automaton:
             except ValueError:
                 raise InputError(f"unknown letter {a!r}") from None
             current = {nxt for q in current for nxt in self.rows[q][j]}
-        return frozenset(self.names[q] for q in current)
+        return current
+
+    def run(self, w: Word) -> frozenset[str]:
+        """The set of states reached from the initial states under `w`."""
+        return frozenset(self.names[q] for q in self._run(w))
 
     def accepts(self, w: Word) -> bool:
-        return bool(self.run(w) & self.accepting)
+        return not self.finals.isdisjoint(self._run(w))
 
     def dstate(self, w: Word) -> Optional[str]:
         """The single state a DFA reaches under `w`, or None if undefined."""
@@ -267,32 +271,36 @@ def minimize(a: Automaton) -> Automaton:
     """Minimal complete DFA by Moore partition refinement.
 
     Requires a deterministic complete input; unreachable states are dropped
-    first.  Each block of merged states is named after its lexicographically
-    smallest member, which keeps names short and the result reproducible.
+    first.  The reachable states are renumbered 0..r-1 in name order, and
+    each round of the refinement runs over integer successor columns, one
+    per letter; a round that splits no block ends it.  Each block of merged
+    states is named after its lexicographically smallest member, which
+    keeps names short and the result reproducible.
     """
     require_complete_dfa(a)
-    rows = a.rows
-    (start,) = a.starts
     reachable = sorted(a.reachable(a.starts))
-    # Moore refinement numbers the blocks in the order of their least
-    # members; names sort like their indices.
-    block = [1 if q in a.finals else 0 for q in range(len(rows))]
+    index = dict(zip(reachable, range(len(reachable))))
+    # cols[j][i] is the index of reachable state i's successor under letter j.
+    cols = [[index[nxt] for (nxt,) in col] for col in zip(*map(a.rows.__getitem__, reachable))]
+    block = [1 if q in a.finals else 0 for q in reachable]
+    count = len(set(block))
+    # Each round numbers the blocks in the order of their least members;
+    # names sort like their indices.
     while True:
         signatures: dict[tuple[int, ...], int] = {}
-        new_block = block[:]
-        for q in reachable:
-            sig = (block[q], *(block[nxt] for (nxt,) in rows[q]))
-            new_block[q] = signatures.setdefault(sig, len(signatures))
-        if new_block == block:
+        sigs = zip(block, *[map(block.__getitem__, col) for col in cols])
+        block = [signatures.setdefault(sig, len(signatures)) for sig in sigs]
+        if len(signatures) == count:
             break
-        block = new_block
+        count = len(signatures)
     least: dict[int, int] = {}
-    for q in reachable:
-        least.setdefault(block[q], q)
-    successors = [block[nxt] for q in least.values() for (nxt,) in rows[q]]
-    accepting = [b for b, q in least.items() if q in a.finals]
-    names = [a.names[q] for q in least.values()]
-    return dfa_from_successors(names, a.alphabet, successors, block[start], accepting)
+    for i, b in enumerate(block):
+        least.setdefault(b, i)
+    successors = [block[col[i]] for i in least.values() for col in cols]
+    accepting = [b for b, i in least.items() if reachable[i] in a.finals]
+    names = [a.names[reachable[i]] for i in least.values()]
+    (start,) = a.starts
+    return dfa_from_successors(names, a.alphabet, successors, block[index[start]], accepting)
 
 
 def complete_with_sink(a: Automaton, sink_name: str = "sink") -> Automaton:

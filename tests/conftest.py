@@ -6,6 +6,33 @@ import itertools
 import random
 
 from ptlang import Automaton, determinize, make_automaton, minimize
+from ptlang.automata import dfa_from_successors, require_complete_dfa
+
+
+def reference_minimize(a: Automaton) -> Automaton:
+    """Moore refinement one state at a time over the full state range, as
+    `minimize` once ran it: the reference its columns must match."""
+    require_complete_dfa(a)
+    rows = a.rows
+    (start,) = a.starts
+    reachable = sorted(a.reachable(a.starts))
+    block = [1 if q in a.finals else 0 for q in range(len(rows))]
+    while True:
+        signatures: dict[tuple[int, ...], int] = {}
+        new_block = block[:]
+        for q in reachable:
+            sig = (block[q], *(block[nxt] for (nxt,) in rows[q]))
+            new_block[q] = signatures.setdefault(sig, len(signatures))
+        if new_block == block:
+            break
+        block = new_block
+    least: dict[int, int] = {}
+    for q in reachable:
+        least.setdefault(block[q], q)
+    successors = [block[nxt] for q in least.values() for (nxt,) in rows[q]]
+    accepting = [b for b, q in least.items() if q in a.finals]
+    names = [a.names[q] for q in least.values()]
+    return dfa_from_successors(names, a.alphabet, successors, block[start], accepting)
 
 
 def brute_subwords(w, k):

@@ -12,8 +12,10 @@ from conftest import (
     has_cycle_dfs,
     languages_agree,
     random_complete_dfa,
+    random_min_dfa,
     random_nfa,
     random_word,
+    reference_minimize,
 )
 
 from ptlang import (
@@ -62,6 +64,14 @@ def test_run_single_letter_on_a2():
     assert a2.run(("a1",)) == frozenset({"0", "2"})
 
 
+def test_accepts_agrees_with_run():
+    rng = random.Random(53)
+    for _ in range(100):
+        a = random_nfa(rng)
+        for w in all_words(a.alphabet, 4):
+            assert a.accepts(w) == bool(a.run(w) & a.accepting)
+
+
 def test_run_unknown_letter():
     with pytest.raises(InputError):
         gen_ak(1).run(("b",))
@@ -93,11 +103,18 @@ def test_min_dfa_of_a2_size_and_depth():
     assert depth(m) == 7
 
 
+def _fields(a):
+    return a.names, a.rows, a.starts, a.finals
+
+
 def test_minimize_fixpoint():
-    m = minimize(determinize(gen_ak(1)))
-    again = minimize(m)
-    assert len(again.states) == len(m.states)
-    assert languages_agree(m, again, all_words(m.alphabet, 8))
+    # On a minimal DFA, minimize gives back the same names, rows, starts
+    # and finals.
+    rng = random.Random(43)
+    minimal = [minimize(determinize(gen_ak(1)))]
+    minimal += [random_min_dfa(rng, max_states=7, letters=("a", "b", "c")[: rng.randint(1, 3)]) for _ in range(300)]
+    for m in minimal:
+        assert _fields(minimize(m)) == _fields(m)
 
 
 def test_minimize_of_det_a0_accepts_only_epsilon():
@@ -180,6 +197,34 @@ def test_minimize_names_each_state_after_its_least_member():
         assert m.initials == {min(merged[residual(a, a.dstate(()))])}
         for q in m.states:
             assert residual(m, q) == residual(a, q)
+
+
+def test_minimize_matches_the_reference_refinement():
+    rng = random.Random(47)
+    inputs = [_shuffled_complete_dfa(rng) for _ in range(200)]
+    inputs += [
+        random_complete_dfa(rng, max_states=8, letters=("a", "b", "c")[: rng.randint(1, 3)])
+        for _ in range(200)
+    ]
+    inputs += [determinize(gen_ak(k)) for k in range(6)]
+    inputs += [gen_tight_depth_dfa(2, 3), gen_tight_depth_dfa(3, 2)]
+    for a in inputs:
+        assert _fields(minimize(a)) == _fields(reference_minimize(a)), a
+
+
+def test_minimize_edge_cases():
+    # An empty alphabet: the start state alone remains.
+    empty = make_automaton(["p", "q"], [], [], ["q"], ["q"])
+    assert _fields(minimize(empty)) == (("q",), ((),), {0}, {0})
+    # A start state no other state reaches, and a 2-cycle it cannot reach.
+    cycle = make_automaton(
+        ["a", "b", "c"], ["x"], [("a", "x", "a"), ("b", "x", "c"), ("c", "x", "b")], ["a"], ["b"],
+    )
+    assert _fields(minimize(cycle)) == (("a",), (((0,),),), {0}, set())
+    # One state, accepting or not.
+    for accepting in ([], ["s"]):
+        one = make_automaton(["s"], ["x", "y"], [("s", "x", "s"), ("s", "y", "s")], ["s"], accepting)
+        assert _fields(minimize(one)) == (("s",), (((0,), (0,)),), {0}, {0} if accepting else set())
 
 
 def test_complete_with_sink():
