@@ -7,6 +7,8 @@ combinations of pieces, and generates the extremal automata and words that
 witness the known depth bounds.
 """
 
+from types import ModuleType as _Module
+
 from ptlang.automata import (
     Automaton,
     BudgetExceededError,
@@ -18,24 +20,19 @@ from ptlang.automata import (
     complete_with_sink,
     depth,
     determinize,
-    is_partially_ordered,
     make_automaton,
     minimize,
-    self_loop_alphabet,
     transition_monoid,
 )
 from ptlang.subwords import (
     canonical_automaton,
     embeds,
     k_equivalent,
-    reduce_word,
-    subwords_up_to_k,
 )
 from ptlang.pt import (
     certify_pt_nfa,
     is_pt,
     is_pt_min_dfa,
-    satisfies_ums,
 )
 from ptlang.kpt import (
     Certificate,
@@ -63,4 +60,5 @@ from ptlang.extremal import (
     pkn_stirling,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names imported above; the submodules are not among them.
+__all__ = sorted(n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _Module)))

@@ -7,6 +7,8 @@ integer form: state i is the i-th of the sorted state names, and each state
 has one sorted tuple of successor indices per letter.  Every algorithm reads
 that form and every construction builds it; the name-keyed `states`,
 `transitions`, `initials` and `accepting` are views computed on first use.
+Partial order has no test of its own: `depth` raises CyclicAutomatonError
+on a cycle through distinct states, as the UMS check of `pt` raises ContractError.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -323,9 +325,14 @@ def complete_with_sink(a: Automaton, sink_name: str = "sink") -> Automaton:
     )
 
 
-def _longest_paths(a: Automaton) -> Optional[list[int]]:
-    """One Kahn pass over the graph without self-loops: the number of
-    transitions on the longest path into each state, or None if cyclic."""
+def depth(a: Automaton) -> int:
+    """Number of transitions on the longest path, self-loops ignored.
+
+    Only defined for partially ordered automata, where the longest simple
+    path is the longest path of the self-loop-free DAG.  One Kahn pass finds
+    it, and raises CyclicAutomatonError when the order does not cover every
+    state.
+    """
     adj = [{dst for dsts in row for dst in dsts if dst != src} for src, row in enumerate(a.rows)]
     indegree = [0] * len(adj)
     for dsts in adj:
@@ -341,32 +348,9 @@ def _longest_paths(a: Automaton) -> Optional[list[int]]:
             indegree[dst] -= 1
             if indegree[dst] == 0:
                 order.append(dst)
-    return longest if len(order) == len(adj) else None
-
-
-def is_partially_ordered(a: Automaton) -> bool:
-    """True iff reachability is a partial order: no cycles but self-loops."""
-    return _longest_paths(a) is not None
-
-
-def depth(a: Automaton) -> int:
-    """Number of transitions on the longest path, self-loops ignored.
-
-    Only defined for partially ordered automata, where the longest simple
-    path is the longest path of the self-loop-free DAG.
-    """
-    longest = _longest_paths(a)
-    if longest is None:
+    if len(order) < len(adj):
         raise CyclicAutomatonError("depth is undefined on cyclic automata")
     return max(longest, default=0)
-
-
-def self_loop_alphabet(a: Automaton, p: str) -> frozenset[str]:
-    """The letters under which `p` has a self-loop."""
-    i = a._index(p)
-    if i is None:
-        raise InputError(f"unknown state {p!r}")
-    return frozenset(letter for letter, dsts in zip(a.alphabet, a.rows[i]) if i in dsts)
 
 
 StateMap = tuple[int, ...]
@@ -377,16 +361,13 @@ class TransitionMonoid:
     """Closure of the letter-induced state maps under composition.
 
     Elements are total maps on the states of a deterministic complete
-    automaton, encoded as tuples of state indices over `state_order`.
+    automaton, encoded as tuples of state indices in name order; `identity`
+    is the map that fixes every state.
     """
 
-    state_order: tuple[str, ...]
     elements: frozenset[StateMap]
     generators: Mapping[str, StateMap]
-    identity: StateMap = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "identity", tuple(range(len(self.state_order))))
+    identity: StateMap
 
     @staticmethod
     def compose(first: StateMap, second: StateMap) -> StateMap:
@@ -412,7 +393,7 @@ def transition_monoid(
                     raise BudgetExceededError(budget, len(elements) + 1, "monoid elements")
                 elements.add(composed)
                 queue.append(composed)
-    return TransitionMonoid(a.names, frozenset(elements), generators)
+    return TransitionMonoid(frozenset(elements), generators, identity)
 
 
 def check_identity(

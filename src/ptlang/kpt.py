@@ -23,6 +23,7 @@ from ptlang.automata import (
     determinize,
     dfa_rows,
     minimize,
+    require_complete_dfa,
     transition_monoid,
 )
 from ptlang.pt import is_pt_min_dfa
@@ -195,8 +196,7 @@ def is_kpt(a: Automaton, k: int, budget: int = DEFAULT_CLASS_BUDGET) -> OracleAn
     is not PT is "no"; a PT one is tried on the monoid identities at k = 3,
     and is k-PT for every k at least the depth of its minimal DFA.
     """
-    if not a.deterministic or not a.complete:
-        raise ContractError("is_kpt expects a minimal complete DFA")
+    require_complete_dfa(a)
     if k < 0:
         raise InputError("k must be non-negative")
     if k == 0:

@@ -13,6 +13,7 @@ determinization.
 window it costs O(moves) big-integer operations on integers of at most
 4,096 bits, so its bit sets take at most n * 512 bytes for n states; the
 order comes from Kahn's algorithm, which is also its partial-order test.
+An automaton has the UMS property iff `find_ums_violation` returns None.
 """
 
 from __future__ import annotations
@@ -127,10 +128,6 @@ def _other_maximal(a: Automaton, moves: list[list[tuple[int, int]]], p: int) -> 
                 seen.add(r)
                 component.append(r)
     return min(q for q in component if stuck[q] and q != p)
-
-
-def satisfies_ums(a: Automaton) -> bool:
-    return find_ums_violation(a) is None
 
 
 def is_pt_min_dfa(a: Automaton) -> bool:

@@ -5,10 +5,9 @@ the same scattered subwords of length at most k, their sub_k set.  The class
 search (class_edges, canonical_automaton) stores a ~_k class as one integer
 bit set, a ClassKey, with one bit per word of length at most k, so a class
 whose longest member has length L spans n^0 + ... + n^L bits over n letters;
-decode_class turns it back into its set of words, the form that class_pieces,
-reduce_word and the set-based reference subwords_up_to_k use.  The test of
-two given words (k_equivalent) builds no such set and compares the words'
-suffixes instead.
+decode_class turns it back into its set of words, the one set form left,
+which class_pieces reads.  The test of two given words (k_equivalent)
+builds no such set and compares the words' suffixes instead.
 """
 
 from __future__ import annotations
@@ -64,16 +63,6 @@ def class_pieces(
         if v not in members and all(v[:i] + v[i + 1 :] in members for i in range(len(v)))
     )
     return maximal, missing
-
-
-def subwords_up_to_k(w: Word, k: int) -> frozenset[Word]:
-    """sub_k(w): all subsequences of w of length at most k, as a set of words."""
-    if k < 0:
-        raise InputError("k must be non-negative")
-    members = frozenset({()})
-    for a in w:
-        members = members | {u + (a,) for u in members if len(u) < k}
-    return members
 
 
 class ClassGrower:
@@ -228,27 +217,3 @@ def canonical_automaton(
     del index  # free the classes before the states are built
     return dfa_from_successors([f"c{i}" for i in range(count)], letters, successors, 0, ())
 
-
-def reduce_word(w: Word, k: int) -> Word:
-    """Drop every letter that does not grow the sub_k set of the prefix.
-
-    The result is k-equivalent to w and its prefixes have strictly growing
-    sub_k sets, a chain of ~_k classes, so over n distinct letters its length
-    is at most the paper's tight depth bound P(k, n) = C(k+n, k) - 1.
-    """
-    if k < 0:
-        raise InputError("k must be non-negative")
-    if k >= len(w):
-        # each letter adds the whole prefix, a member longer than any before
-        return tuple(w)
-    # A set of words, not a ClassKey: the integer class of a long member
-    # spans n^0 + ... + n^L bits, so a long word with few distinct subwords
-    # (a^40 b at k = 40) would need an int of 2^40 bits.
-    members = frozenset({()})
-    kept: list[str] = []
-    for a in w:
-        grown = members | {u + (a,) for u in members if len(u) < k}
-        if len(grown) != len(members):
-            kept.append(a)
-            members = grown
-    return tuple(kept)

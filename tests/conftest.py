@@ -44,6 +44,15 @@ def brute_subwords(w, k):
     return frozenset(out)
 
 
+def sub_k(w, k):
+    """sub_k(w) grown one letter at a time: each letter extends every member
+    shorter than k.  A set-based reference for the integer class search."""
+    members = frozenset({()})
+    for a in w:
+        members = members | {u + (a,) for u in members if len(u) < k}
+    return members
+
+
 def all_words(alphabet, max_len):
     for length in range(max_len + 1):
         yield from itertools.product(alphabet, repeat=length)

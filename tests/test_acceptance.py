@@ -8,7 +8,7 @@ import itertools
 import random
 import time
 
-from conftest import all_words, brute_locally_confluent, random_min_dfa
+from conftest import all_words, brute_locally_confluent, has_cycle_dfs, random_min_dfa, sub_k
 
 from ptlang import (
     Certificate,
@@ -25,16 +25,14 @@ from ptlang import (
     is_2pt,
     is_3pt,
     is_kpt_oracle,
-    is_partially_ordered,
     is_pt_min_dfa,
     min_k,
     minimize,
     pkn,
     pkn_stirling,
-    satisfies_ums,
-    subwords_up_to_k,
     verify_certificate,
 )
+from ptlang.pt import find_ums_violation
 
 CLASS_BUDGET = 2 * 10**6
 
@@ -99,9 +97,9 @@ def test_longest_distinct_prefix_words():
             alphabet = tuple(f"a{i}" for i in range(1, n + 1))
             ok = ok and len(w) == pkn(k, n)
             full = frozenset(all_words(alphabet, k))
-            ok = ok and subwords_up_to_k(w, k) == full
+            ok = ok and sub_k(w, k) == full
             prefixes = {
-                subwords_up_to_k(w[:i], k)
+                sub_k(w[:i], k)
                 for i in range(len(w) + 1)
             }
             ok = ok and len(prefixes) == len(w) + 1
@@ -111,7 +109,7 @@ def test_longest_distinct_prefix_words():
     for length in range(9):
         for w in itertools.product(alphabet, repeat=length):
             classes = {
-                subwords_up_to_k(w[:i], 2)
+                sub_k(w[:i], 2)
                 for i in range(length + 1)
             }
             if len(classes) == length + 1:
@@ -135,8 +133,8 @@ def test_decider_concordance():
     ok = True
     for _ in range(500):
         m = random_min_dfa(rng, max_states=6)
-        if is_partially_ordered(m):
-            ok = ok and brute_locally_confluent(m) == satisfies_ums(m)
+        if not has_cycle_dfs(m):
+            ok = ok and brute_locally_confluent(m) == (find_ums_violation(m) is None)
         if not is_pt_min_dfa(m):
             continue
         for k, decider in ((1, is_1pt), (2, is_2pt), (3, is_3pt)):

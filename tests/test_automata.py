@@ -18,6 +18,7 @@ from conftest import (
     reference_minimize,
 )
 
+import ptlang
 from ptlang import (
     BudgetExceededError,
     ContractError,
@@ -38,14 +39,13 @@ from ptlang import (
     is_2pt,
     is_3pt,
     is_kpt_oracle,
-    is_partially_ordered,
     make_automaton,
     minimize,
-    self_loop_alphabet,
     transition_monoid,
 )
 from ptlang.automata import dfa_rows
 from ptlang.cli import parse_automaton, serialize_automaton
+from ptlang.pt import find_ums_violation
 
 
 def test_run_empty_word_gives_initials():
@@ -239,19 +239,23 @@ def test_complete_with_sink():
     assert complete_with_sink(done) is done
 
 
-def test_is_partially_ordered_examples():
-    assert is_partially_ordered(gen_ak(2))
-    loops = make_automaton(["q"], ["a", "b"], [("q", "a", "q"), ("q", "b", "q")], ["q"], ["q"])
-    assert is_partially_ordered(loops)
-    two_cycle = make_automaton(["p", "q"], ["a"], [("p", "a", "q"), ("q", "a", "p")], ["p"], [])
-    assert not is_partially_ordered(two_cycle)
+def _raises(error, check, a) -> bool:
+    try:
+        check(a)
+    except error:
+        return True
+    return False
 
 
-def test_is_partially_ordered_matches_dfs():
+def test_kahn_passes_match_dfs():
+    # depth and the UMS check each refuse a cycle through distinct states,
+    # exactly when the depth-first reference finds one
     rng = random.Random(11)
     for _ in range(500):
         a = random_nfa(rng, max_states=6, letters=("a", "b", "c"))
-        assert is_partially_ordered(a) == (not has_cycle_dfs(a))
+        cyclic = has_cycle_dfs(a)
+        assert _raises(CyclicAutomatonError, depth, a) == cyclic
+        assert _raises(ContractError, find_ums_violation, a) == cyclic
 
 
 def test_depth_of_ak_family():
@@ -266,17 +270,6 @@ def test_depth_trivial_and_cyclic():
     two_cycle = make_automaton(["p", "q"], ["a"], [("p", "a", "q"), ("q", "a", "p")], ["p"], [])
     with pytest.raises(CyclicAutomatonError):
         depth(two_cycle)
-
-
-def test_self_loop_alphabet():
-    a2 = gen_ak(2)
-    assert self_loop_alphabet(a2, "2") == frozenset({"a0", "a1"})
-    assert self_loop_alphabet(a2, "0") == frozenset()
-    done = complete_with_sink(a2)
-    sink = next(iter(done.states - a2.states))
-    assert self_loop_alphabet(done, sink) == frozenset(a2.alphabet)
-    with pytest.raises(InputError):
-        self_loop_alphabet(a2, "missing")
 
 
 def test_transition_monoid_of_piece_dfa():
@@ -515,3 +508,20 @@ def test_replace_swaps_accepting_states_by_name():
     swapped = dataclasses.replace(d, accepting={start})
     assert swapped.accepting == {start} and swapped.finals == d.starts
     assert swapped.rows is d.rows and swapped.names is d.names
+
+
+def test_package_exports():
+    # a new export is a deliberate edit here; submodules are not exports
+    assert ptlang.__all__ == [
+        "Automaton", "BudgetExceededError", "Certificate", "Clause", "ContractError",
+        "CyclicAutomatonError", "InputError", "PieceExpression", "TransitionMonoid",
+        "canonical_automaton", "certify_pt_nfa", "check_identity", "complete_with_sink",
+        "decompose", "depth", "determinize", "embeds", "eval_piece_expression", "gen_ak",
+        "gen_intersection_nfa", "gen_tight_depth_dfa", "gen_wk", "gen_wkn", "is_0pt",
+        "is_1pt", "is_2pt", "is_3pt", "is_kpt", "is_kpt_oracle", "is_pt", "is_pt_min_dfa",
+        "k_equivalent", "make_automaton", "min_k", "minimize", "pkn", "pkn_stirling",
+        "transition_monoid", "verify_certificate", "verify_pair",
+    ]
+    namespace: dict = {}
+    exec("from ptlang import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == ptlang.__all__

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from conftest import all_words, random_word
+from conftest import all_words, has_cycle_dfs, random_word, sub_k
 
 from ptlang import (
     InputError,
@@ -15,13 +15,11 @@ from ptlang import (
     gen_wk,
     gen_wkn,
     is_kpt_oracle,
-    is_partially_ordered,
     k_equivalent,
     min_k,
     minimize,
     pkn,
     pkn_stirling,
-    subwords_up_to_k,
     verify_pair,
 )
 
@@ -196,10 +194,10 @@ def test_gen_wkn_full_subword_set_and_distinct_prefixes():
     for k, n in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
         w = gen_wkn(k, n)
         alphabet = tuple(f"a{i}" for i in range(1, n + 1))
-        assert subwords_up_to_k(w, k) == frozenset(all_words(alphabet, k))
+        assert sub_k(w, k) == frozenset(all_words(alphabet, k))
         seen = set()
         for i in range(len(w) + 1):
-            members = subwords_up_to_k(w[:i], k)
+            members = sub_k(w[:i], k)
             assert members not in seen
             seen.add(members)
 
@@ -210,7 +208,7 @@ def test_no_longer_word_with_distinct_prefixes():
     alphabet = ("a1", "a2")
     target = pkn(2, 2) + 1
     for w in itertools.product(alphabet, repeat=target):
-        classes = {subwords_up_to_k(w[:i], 2) for i in range(target + 1)}
+        classes = {sub_k(w[:i], 2) for i in range(target + 1)}
         assert len(classes) < target + 1, w
 
 
@@ -235,7 +233,7 @@ def test_intersection_nfa():
     a = gen_intersection_nfa(("a", "b", "c"))
     assert len(a.states) == 8
     assert depth(a) == 3
-    assert is_partially_ordered(a)
+    assert not has_cycle_dfs(a)
     assert min_k(a) == 1
     for w in all_words(("a", "b", "c"), 4):
         assert a.accepts(w) == (set(w) == {"a", "b", "c"})

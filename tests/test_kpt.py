@@ -132,6 +132,11 @@ def test_oracle_rejects_nfa():
         is_kpt_oracle(gen_ak(1), 1)
 
 
+def test_is_kpt_rejects_nfa():
+    with pytest.raises(ContractError, match="^this operation requires a deterministic complete automaton$"):
+        is_kpt(gen_ak(1), 1)
+
+
 def test_specialized_deciders_agree_with_oracle():
     rng = random.Random(53)
     # The 300 draws hold fewer than 100 distinct DFAs, and an oracle "yes"

@@ -8,6 +8,7 @@ from conftest import (
     dfa_ab_star,
     dfa_only_epsilon,
     dfa_parity,
+    has_cycle_dfs,
     random_min_dfa,
     random_po_complete_nfa,
 )
@@ -19,7 +20,6 @@ from ptlang import (
     determinize,
     gen_ak,
     gen_intersection_nfa,
-    is_partially_ordered,
     is_pt,
     is_pt_min_dfa,
     is_kpt_oracle,
@@ -27,8 +27,6 @@ from ptlang import (
     make_automaton,
     min_k,
     minimize,
-    satisfies_ums,
-    self_loop_alphabet,
     verify_pair,
 )
 from ptlang.cli import parse_automaton
@@ -37,7 +35,7 @@ from ptlang.pt import find_ums_violation
 
 def pt_by_confluence(m):
     """PT of a minimal DFA by partial order and local confluence (word search)."""
-    return is_partially_ordered(m) and brute_locally_confluent(m)
+    return not has_cycle_dfs(m) and brute_locally_confluent(m)
 
 
 def reference_ums_violation(a):
@@ -45,7 +43,7 @@ def reference_ums_violation(a):
     restricted to p's self-loop letters, take p's component in both
     directions, and list its states with no edge to another state."""
     for p in sorted(a.states):
-        gamma = self_loop_alphabet(a, p)
+        gamma = {x for (q, x), dsts in a.transitions.items() if q == p and p in dsts}
         out = {q: set() for q in a.states}
         und = {q: set() for q in a.states}
         for (src, letter), dsts in a.transitions.items():
@@ -81,7 +79,8 @@ def test_ab_star_confluence_and_pt():
     a = dfa_ab_star()
     assert is_pt_min_dfa(a) == pt_by_confluence(a)
     # the PT pipeline rejects the language at the partial-order stage
-    assert not is_partially_ordered(a)
+    with pytest.raises(ContractError):
+        find_ums_violation(a)
     assert not is_pt(a)
 
 
@@ -93,9 +92,9 @@ def test_confluence_matches_brute_force_on_random_dfas():
 
 
 def test_ums_on_a2_and_trivia():
-    assert satisfies_ums(gen_ak(2))
+    assert find_ums_violation(gen_ak(2)) is None
     single = make_automaton(["q"], ["a", "b"], [("q", "a", "q")], ["q"], [])
-    assert satisfies_ums(single)
+    assert find_ums_violation(single) is None
 
 
 def test_ums_two_maximal_states():
@@ -107,12 +106,11 @@ def test_ums_two_maximal_states():
     violation = find_ums_violation(a)
     assert violation is not None
     assert set(violation) == {"q1", "q2"}
-    assert not satisfies_ums(a)
 
 
 def test_ums_requires_partial_order():
     with pytest.raises(ContractError):
-        satisfies_ums(dfa_parity())
+        find_ums_violation(dfa_parity())
 
 
 def test_is_pt_min_dfa_examples():
@@ -142,7 +140,7 @@ def test_confluence_iff_ums_on_partially_ordered_dfas():
     rng = random.Random(41)
     for _ in range(500):
         m = random_min_dfa(rng, max_states=6, letters=("a", "b", "c"))
-        if not is_partially_ordered(m):
+        if has_cycle_dfs(m):
             continue
         assert is_pt_min_dfa(m) == pt_by_confluence(m), find_ums_violation(m)
 
@@ -151,7 +149,7 @@ def test_ums_matches_state_by_state_reference():
     rng = random.Random(53)
     cases = [random_po_complete_nfa(rng, max_states=5) for _ in range(500)]
     drawn = (random_min_dfa(rng, max_states=6, letters=("a", "b", "c")) for _ in range(500))
-    cases += [m for m in drawn if is_partially_ordered(m)]
+    cases += [m for m in drawn if not has_cycle_dfs(m)]
     cases += [complete_with_sink(gen_ak(k)) for k in range(6)]
     cases += [gen_intersection_nfa(tuple(f"a{i}" for i in range(n))) for n in range(1, 7)]
     cases += [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_words, brute_subwords
+from conftest import all_words, brute_subwords, has_cycle_dfs, sub_k
 
 from ptlang import (
     BudgetExceededError,
@@ -15,12 +15,7 @@ from ptlang import (
     depth,
     embeds,
     gen_wk,
-    gen_wkn,
-    is_partially_ordered,
     k_equivalent,
-    pkn,
-    reduce_word,
-    subwords_up_to_k,
 )
 from ptlang.subwords import EPSILON_CLASS, ClassGrower, class_edges, class_pieces, decode_class
 
@@ -62,27 +57,6 @@ def test_embeds_matches_brute_force(v, w):
 def test_embeds_transitive_with_concat(v, w):
     assert embeds(v, w + v)
     assert embeds(v, v + w)
-
-
-def test_subwords_of_empty_word():
-    for k in range(4):
-        assert subwords_up_to_k((), k) == frozenset({()})
-
-
-def test_subwords_full_set_example():
-    w = ("a1", "a1", "a2", "a1", "a2")
-    assert subwords_up_to_k(w, 2) == frozenset(all_words(("a1", "a2"), 2))
-
-
-def test_subwords_of_letter_powers():
-    for m in range(6):
-        for k in range(5):
-            assert len(subwords_up_to_k(("a",) * m, k)) == min(m, k) + 1
-
-
-@given(words_abc, st.integers(min_value=0, max_value=3))
-def test_subwords_match_brute_force(w, k):
-    assert subwords_up_to_k(w, k) == brute_subwords(w, k)
 
 
 def test_k_equivalent_at_zero():
@@ -128,7 +102,7 @@ def test_k_equivalent_matches_brute_force(pair, k):
 @given(insertion_pairs(), st.integers(min_value=0, max_value=4))
 def test_k_equivalent_matches_sets_on_insertions(pair, k):
     w1, w2 = pair
-    same = subwords_up_to_k(w1, k) == subwords_up_to_k(w2, k)
+    same = sub_k(w1, k) == sub_k(w2, k)
     assert k_equivalent(w1, w2, k) == same
     assert k_equivalent(w2, w1, k) == same
 
@@ -141,14 +115,14 @@ def test_class_edges_follow_appended_letters(letters, k):
     access = {EPSILON_CLASS: ()}
     for cls, a, nxt, first_visit in class_edges(alphabet, k):
         w = access[cls]
-        assert decode_class(cls, alphabet) == subwords_up_to_k(w, k)
-        assert decode_class(nxt, alphabet) == subwords_up_to_k(w + (a,), k)
+        assert decode_class(cls, alphabet) == sub_k(w, k)
+        assert decode_class(nxt, alphabet) == sub_k(w + (a,), k)
         assert first_visit == (nxt not in access)
         access.setdefault(nxt, w + (a,))
     bound = math.comb(k + len(alphabet), k) - 1
     decoded = {decode_class(cls, alphabet) for cls in access}
     assert len(decoded) == len(access)
-    assert decoded == {subwords_up_to_k(w, k) for w in all_words(alphabet, bound)}
+    assert decoded == {sub_k(w, k) for w in all_words(alphabet, bound)}
 
 
 @st.composite
@@ -171,7 +145,7 @@ def test_integer_classes_match_subword_sets(case, k):
         if i:
             members = grow(members, alphabet.index(w[i - 1]))
         words = decode_class(members, alphabet)
-        assert words == subwords_up_to_k(w[:i], k) == brute_subwords(w[:i], k)
+        assert words == sub_k(w[:i], k) == brute_subwords(w[:i], k)
         assert bin(members).count("1") == len(words)
 
 
@@ -180,7 +154,7 @@ def sub_k_sets(draw):
     letters = tuple(draw(st.sampled_from(["a", "ab", "abc"])))
     k = draw(st.integers(min_value=0, max_value=3))
     w = draw(st.lists(st.sampled_from(letters), max_size=10).map(tuple))
-    return letters, k, subwords_up_to_k(w, k)
+    return letters, k, sub_k(w, k)
 
 
 @given(sub_k_sets())
@@ -211,7 +185,7 @@ def test_canonical_automaton_is_partially_ordered_and_monotone():
     # Every class has an access word no longer than the depth P(2, 2) = 5,
     # so the words up to length 5 reach every state.
     aut = canonical_automaton(["a", "b"], 2)
-    assert is_partially_ordered(aut)
+    assert not has_cycle_dfs(aut)
     classes: dict[str, set] = {q: set() for q in aut.states}
     for w in all_words(("a", "b"), 5):
         classes[aut.dstate(w)].add(brute_subwords(w, 2))
@@ -245,55 +219,6 @@ def test_canonical_automaton_with_huge_k():
     with pytest.raises(BudgetExceededError):
         canonical_automaton(("a", "b"), 10**6, budget=1000)
     assert time.perf_counter() - start < 1.0
-
-
-def test_reduce_word_examples():
-    assert reduce_word(("a", "a", "a", "a"), 2) == ("a", "a")
-    w22 = gen_wkn(2, 2)
-    assert reduce_word(w22, 2) == w22
-
-
-def test_reduce_word_keeps_words_no_longer_than_k():
-    # every prefix is a member longer than all earlier ones
-    w = ("a", "b") * 50
-    start = time.perf_counter()
-    assert reduce_word(w, 10**6) == w
-    assert time.perf_counter() - start < 0.1
-    assert reduce_word(list(w[:4]), 4) == w[:4]
-
-
-def test_reduce_word_long_word_with_few_subwords():
-    # a^40 b at k = 40 has 81 subwords but members up to 40 letters long
-    w = ("a",) * 40 + ("b",)
-    start = time.perf_counter()
-    assert reduce_word(w, 40) == w
-    assert reduce_word(("a",) + w, 40) == w
-    assert time.perf_counter() - start < 0.1
-
-
-@given(words_ab, st.integers(min_value=0, max_value=3))
-def test_reduce_word_equivalent_with_growing_prefixes(w, k):
-    reduced = reduce_word(w, k)
-    assert k_equivalent(w, reduced, k)
-    prefix_classes = [
-        subwords_up_to_k(reduced[:i], k) for i in range(len(reduced) + 1)
-    ]
-    for earlier, later in zip(prefix_classes, prefix_classes[1:]):
-        assert earlier < later
-    if k >= 1 and w:
-        assert len(reduced) <= pkn(k, len(set(w)))
-
-
-def test_reduce_word_length_bound_for_full_words():
-    # whenever the reduction still has a full sub_k set its length is at
-    # most the tight bound
-    for k, n in [(1, 2), (2, 2), (2, 3), (3, 2)]:
-        alphabet = tuple(f"a{i}" for i in range(1, n + 1))
-        w = gen_wkn(k, n) * 2
-        reduced = reduce_word(w, k)
-        full = frozenset(all_words(alphabet, k))
-        assert subwords_up_to_k(reduced, k) == full
-        assert len(reduced) <= pkn(k, n)
 
 
 @settings(max_examples=30)
