@@ -247,7 +247,22 @@ def _raises(error, check, a) -> bool:
     return False
 
 
-def test_kahn_passes_match_dfs():
+def _refuses_cycle(a) -> bool:
+    # depth and the UMS check must agree on whether a is partially ordered
+    refused = _raises(CyclicAutomatonError, depth, a)
+    assert _raises(ContractError, find_ums_violation, a) == refused
+    return refused
+
+
+def test_is_partially_ordered_examples():
+    assert not _refuses_cycle(gen_ak(2))
+    loops = make_automaton(["q"], ["a", "b"], [("q", "a", "q"), ("q", "b", "q")], ["q"], ["q"])
+    assert not _refuses_cycle(loops)
+    two_cycle = make_automaton(["p", "q"], ["a"], [("p", "a", "q"), ("q", "a", "p")], ["p"], [])
+    assert _refuses_cycle(two_cycle)
+
+
+def test_is_partially_ordered_matches_dfs():
     # depth and the UMS check each refuse a cycle through distinct states,
     # exactly when the depth-first reference finds one
     rng = random.Random(11)
