@@ -217,11 +217,11 @@ def dfa_from_successors(
     single: list[tuple[int]] = [(0,)] * len(order)
     for new, old in enumerate(order):
         single[old] = (new,)
-    rows = tuple(
-        tuple(single[nxt] for nxt in successors[old * width : old * width + width]) for old in order
-    )
+    # The targets, width at a time, are the rows of the old states.
+    targets = map(single.__getitem__, successors)
+    old_rows = list(zip(*[targets] * width)) if width else [()] * len(order)
     return Automaton(
-        tuple(names[old] for old in order), alphabet, rows,
+        tuple(map(names.__getitem__, order)), alphabet, tuple(map(old_rows.__getitem__, order)),
         frozenset(single[start]), frozenset(single[i][0] for i in accepting),
     )
 

@@ -3,12 +3,18 @@
 The specialized deciders for k = 0..3 run directly on the minimal DFA; the
 generic oracle pairs ~_k classes with the states they reach and answers
 "no" with a two-word certificate as soon as one class reaches two distinct
-states.
+states.  It reads the class search (subwords.ClassSearch) a chunk of
+classes at a time: the DFA successors of a chunk's edges come from one pass
+over the DFA rows, each class keeps its state and first edge in plain lists
+indexed by class number, and one list comparison checks the chunk's edges
+against the states their classes already hold.  The certificate is the
+first edge, in breadth-first order, that disagrees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Union
 
 from ptlang.automata import (
@@ -29,9 +35,8 @@ from ptlang.automata import (
 from ptlang.pt import is_pt_min_dfa
 from ptlang.subwords import (
     DEFAULT_CLASS_BUDGET,
-    EPSILON_CLASS,
     ClassKey,
-    class_edges,
+    ClassSearch,
     class_pieces,
     decode_class,
     embeds,
@@ -135,44 +140,55 @@ def is_3pt(a: Automaton, budget: int = DEFAULT_MONOID_BUDGET) -> Optional[bool]:
     return None if undecided else True
 
 
-# Each class's DFA state, with the class and letter it was first reached
-# from (None, None for the class of the empty word).
-ClassStates = dict[ClassKey, tuple[int, Optional[ClassKey], Optional[str]]]
+# The classes by number, the DFA state each one reaches, and the edge that
+# first reached it: parent * n + letter number, or -1 for [epsilon].
+ClassStates = tuple[list[ClassKey], list[int], list[int]]
 
 
 def _class_state_map(a: Automaton, k: int, budget: int) -> Union[Certificate, ClassStates]:
     """Pair each ~_k class with the DFA state (an index into `a.names`) its
-    first access word reaches: the class-to-(state, parent, letter) map when
-    every class meets a single state, or a Certificate for the first class
-    caught meeting two."""
+    first access word reaches, a chunk of classes at a time: the classes,
+    their states and first edges when every class meets a single state, or
+    a Certificate for the first edge that takes a class to a second one."""
     rows = dfa_rows(a)
-    column = {letter: j for j, letter in enumerate(a.alphabet)}
+    n = len(a.alphabet)
     (start,) = a.starts
-    seen: ClassStates = {EPSILON_CLASS: (start, None, None)}
-    for cls, letter, nxt, first_visit in class_edges(a.alphabet, k, budget):
-        nxt_state = rows[seen[cls][0]][column[letter]]
-        if first_visit:
-            seen[nxt] = (nxt_state, cls, letter)
-        else:
-            prev_state = seen[nxt][0]
-            if prev_state != nxt_state:
-                return Certificate(
-                    k,
-                    _access_word(seen, nxt),
-                    _access_word(seen, cls) + (letter,),
-                    a.names[prev_state],
-                    a.names[nxt_state],
-                )
-    return seen
+    search = ClassSearch(n, k, budget)
+    states, reached = [start], [-1]
+    edge = 0  # the number of edges checked so far
+    for row in search.rows():
+        # The DFA successor of each edge, in the row's order.
+        first = edge // n
+        targets = list(chain.from_iterable(map(rows.__getitem__, states[first : first - (-len(row) // n)])))
+        del targets[len(row) :]  # a row cut at the budget ends inside a class
+        # New classes first occur in the row in the order of their numbers.
+        position = -1
+        for cls in range(len(states), max(row, default=-1) + 1):
+            position = row.index(cls, position + 1)
+            states.append(targets[position])
+            reached.append(edge + position)
+        if list(map(states.__getitem__, row)) != targets:
+            e = next(e for e, (cls, state) in enumerate(zip(row, targets)) if states[cls] != state)
+            return Certificate(
+                k,
+                _access_word(reached, row[e], a.alphabet),
+                _access_word(reached, first + e // n, a.alphabet) + (a.alphabet[e % n],),
+                a.names[states[row[e]]],
+                a.names[targets[e]],
+            )
+        edge += len(row)
+    return search.classes, states, reached
 
 
-def _access_word(seen: ClassStates, cls: ClassKey) -> Word:
-    """The word that first reached `cls`, read back through the parents."""
+def _access_word(reached: list[int], cls: int, alphabet: tuple[str, ...]) -> Word:
+    """The word that first reached class number `cls`, read back through
+    the first edges."""
     letters = []
-    _state, parent, letter = seen[cls]
-    while parent is not None:
-        letters.append(letter)
-        _state, parent, letter = seen[parent]
+    e = reached[cls]
+    while e >= 0:
+        parent, letter = divmod(e, len(alphabet))
+        letters.append(alphabet[letter])
+        e = reached[parent]
     return tuple(reversed(letters))
 
 
@@ -267,12 +283,13 @@ def decompose(
     outcome = _class_state_map(a, k, budget)
     if isinstance(outcome, Certificate):
         raise ContractError("decompose requires a k-PT language at this k")
+    classes, states, reached = outcome
     access = {
-        cls: _access_word(outcome, cls) for cls, (state, _, _) in outcome.items() if state in a.finals
+        cls: _access_word(reached, cls, a.alphabet) for cls, state in enumerate(states) if state in a.finals
     }
     order = sorted(access, key=lambda cls: (len(access[cls]), access[cls]))
     return PieceExpression(
-        tuple(Clause(*class_pieces(decode_class(cls, a.alphabet), a.alphabet, k)) for cls in order)
+        tuple(Clause(*class_pieces(decode_class(classes[cls], a.alphabet), a.alphabet, k)) for cls in order)
     )
 
 

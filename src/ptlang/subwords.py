@@ -2,18 +2,34 @@
 
 Words are tuples of letter names.  Two words are k-equivalent when they have
 the same scattered subwords of length at most k, their sub_k set.  The class
-search (class_edges, canonical_automaton) stores a ~_k class as one integer
-bit set, a ClassKey, with one bit per word of length at most k, so a class
-whose longest member has length L spans n^0 + ... + n^L bits over n letters;
-decode_class turns it back into its set of words, the one set form left,
-which class_pieces reads.  The test of two given words (k_equivalent)
-builds no such set and compares the words' suffixes instead.
+search (ClassSearch, which canonical_automaton and the k-PT oracle run)
+stores a ~_k class as one integer bit set, a ClassKey, with one bit per word
+of length at most k, so a class whose longest member has length L spans
+n^0 + ... + n^L bits over n letters; decode_class turns it back into its
+set of words, the one set form left, which class_pieces reads.  The test of
+two given words (k_equivalent) builds no such set and compares the words'
+suffixes instead.
+
+The search is breadth-first and runs a chunk at a time: it takes up to
+CHUNK classes found but not yet expanded, forms all their successors in one
+list pass for the two shortest blocks of the bit set and one more for each
+longer block, numbers them in one pass over a dict, and hands its caller
+the chunk's row of successor numbers.  No generator step or method call
+runs per edge: canonical_automaton over 5 letters at k = 2 (52,132
+classes, 260,660 edges) takes 0.06 s, against 0.16 s when the search
+yielded one edge at a time.  A search of a few classes pays a fixed cost
+per breadth-first level instead, about 11 against 7 us for the oracle on
+the 4-state minimal DFA of gen_ak(1) at k = 1.  A budget is checked once
+per chunk, so a search forms at most CHUNK * n classes past it; the rows
+handed out stop just before the edge that found class budget + 1, as a
+search one edge at a time would.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict
+from itertools import chain, count, cycle, islice
 from typing import Iterable, Iterator
 
 from ptlang.automata import (
@@ -25,6 +41,10 @@ from ptlang.automata import (
 )
 
 DEFAULT_CLASS_BUDGET = 2 * 10**6
+# Classes expanded per step of the class search: large enough that the
+# list passes outweigh each step's fixed cost, small enough to bound the
+# work past a budget.
+CHUNK = 1024
 
 # A ~_k class over an alphabet of n letters: the sub_k set its words share,
 # as an int with bit b set iff word number b is a member.  Words are
@@ -65,48 +85,107 @@ def class_pieces(
     return maximal, missing
 
 
-class ClassGrower:
-    """Appends letters to ~_k classes over an alphabet of n letters.
+class ClassSearch:
+    """Breadth-first search over the ~_k classes reachable from [epsilon]
+    over an alphabet of n letters, a chunk of classes at a time.
 
     Appending letter number i to a word of length L < k moves its bit from
     index x in block L to index x + i n^L in block L + 1.  So the class of
     w + (letter i,) is the class of w OR, for each L < k, block L of that
     class shifted into block L + 1: k masked shifts, all read from the class
     before the letter is added (shifting the running value would add words
-    two letters longer).  The table of shifts grows lazily up to the
+    two letters longer).  The table of blocks grows lazily up to the
     longest member met so far, so a huge k never forms n^k.
+
+    `rows` runs the search once: it numbers the classes 0, 1, ... in
+    discovery order and keeps them in `classes`.  Each step takes the next
+    CHUNK classes found but not yet expanded, forms all their successors
+    (`successors`) and numbers them with one pass over a dict.
     """
 
-    def __init__(self, n: int, k: int):
+    def __init__(self, n: int, k: int, budget: int = DEFAULT_CLASS_BUDGET):
+        if k < 0:
+            raise InputError("k must be non-negative")
         self._n = n
         self._k = k
-        # _steps[i][L] = (offset of block L, its mask, shift for letter i)
-        # for the blocks built so far; _limit is the offset of the first
-        # block not built, or infinity once all k are built.
-        self._steps: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        self._limit = 0 if k else math.inf
+        self._budget = budget
+        self.classes: list[ClassKey] = [EPSILON_CLASS]
+        # Block 0 holds the empty word, a member of every class, so letter i
+        # always moves it to bit 1 + i.
+        self._letter_bits = [2 << i if k else 0 for i in range(n)]
+        # _blocks[L - 1] = (offset of block L, its mask, the shift of its
+        # bits for each letter) for the blocks L >= 1 built so far; _limit
+        # is the offset of the first block not built, or infinity once all
+        # k are built.
+        self._blocks: list[tuple[int, int, range]] = []
+        self._limit = 1 if k > 1 else math.inf
 
     def _build_to(self, bits: int) -> None:
         """Build the blocks below k that hold bits of a class `bits` long."""
         while self._limit < bits:
-            length = len(self._steps[0])
+            length = len(self._blocks) + 1
             offset, size = self._limit, self._n**length
-            mask = (1 << size) - 1
-            for i, steps in enumerate(self._steps):
-                steps.append((offset, mask, offset + (i + 1) * size))
+            shifts = range(offset + size, offset + (self._n + 1) * size, size)
+            self._blocks.append((offset, (1 << size) - 1, shifts))
             self._limit = offset + size if length + 1 < self._k else math.inf
 
-    def grow(self, members: ClassKey, i: int) -> ClassKey:
-        """The class of w + (letter i,), given the class `members` of w."""
-        bits = members.bit_length()
+    def successors(self, chunk: list[ClassKey]) -> list[ClassKey]:
+        """The class of w + (a,) for each class of w in `chunk` and each
+        letter a: class by class, letters in alphabet order.  One list pass
+        moves blocks 0 and 1 and one more pass moves each longer block."""
+        bits = max(chunk).bit_length()
         if bits > self._limit:
             self._build_to(bits)
-        grown = members
-        for offset, mask, shift in self._steps[i]:
+        if not self._blocks:
+            return [members | bit for members in chunk for bit in self._letter_bits]
+        _, mask, shifts = self._blocks[0]
+        moves = list(zip(self._letter_bits, shifts))
+        grown = [
+            members | bit | part << shift
+            for members in chunk
+            for part in ((members >> 1) & mask,)
+            for bit, shift in moves
+        ]
+        for offset, mask, shifts in self._blocks[1:]:
             if offset >= bits:
                 break
-            grown |= ((members >> offset) & mask) << shift
+            # Each class's block, once per letter.
+            parts = chain.from_iterable(zip(*[[(members >> offset) & mask for members in chunk]] * self._n))
+            grown = [g | part << shift for g, part, shift in zip(grown, parts, cycle(shifts))]
         return grown
+
+    def rows(self) -> Iterator[list[int]]:
+        """Yield, for each chunk in turn, the numbers of the successors of
+        its classes, class by class and letters in alphabet order.  A chunk
+        that discovers class budget + 1 yields its row cut just before that
+        edge, then raises BudgetExceededError; it forms at most CHUNK * n
+        classes past the budget."""
+        if not self._n:
+            return  # no letters, no edges
+        classes, successors = self.classes, self.successors
+        # number[c] is the number of class c, handed out on first lookup.
+        number: defaultdict[ClassKey, int] = defaultdict(count().__next__)
+        number[EPSILON_CLASS]
+        lookup = number.__getitem__
+        # [epsilon] needs no edge, so the first class a budget can refuse
+        # is class 1.
+        limit = max(self._budget, 1)
+        done = 0
+        while done < len(classes):
+            chunk = classes[done : done + CHUNK]
+            done += len(chunk)
+            known = len(number)
+            row = list(map(lookup, successors(chunk)))
+            found = len(number) - known
+            if found:
+                # The new classes are the last keys of `number`, in order.
+                new = list(islice(reversed(number), found))
+                new.reverse()
+                classes += new
+                if known + found > limit:
+                    yield row[: row.index(limit)]
+                    raise BudgetExceededError(self._budget, limit + 1, "classes")
+            yield row
 
 
 def decode_class(members: ClassKey, alphabet: tuple[str, ...]) -> frozenset[Word]:
@@ -169,32 +248,6 @@ def _next_table(w: Word) -> list[dict[str, int]]:
     return table
 
 
-def class_edges(
-    alphabet: tuple[str, ...], k: int, budget: int = DEFAULT_CLASS_BUDGET
-) -> Iterator[tuple[ClassKey, str, ClassKey, bool]]:
-    """Breadth-first search over the ~_k classes reachable from EPSILON_CLASS:
-    yields (class, letter, successor, first_visit) per edge, classes in
-    discovery order and letters in alphabet order.  Discovering class
-    budget + 1 raises BudgetExceededError."""
-    if k < 0:
-        raise InputError("k must be non-negative")
-    grow = ClassGrower(len(alphabet), k).grow
-    letters = tuple(enumerate(alphabet))
-    seen = {EPSILON_CLASS}
-    queue = deque([EPSILON_CLASS])
-    while queue:
-        members = queue.popleft()
-        for i, a in letters:
-            nxt = grow(members, i)
-            first_visit = nxt not in seen
-            if first_visit:
-                if len(seen) >= budget:
-                    raise BudgetExceededError(budget, len(seen) + 1, "classes")
-                seen.add(nxt)
-                queue.append(nxt)
-            yield members, a, nxt, first_visit
-
-
 def canonical_automaton(
     alphabet: Iterable[str], k: int, budget: int = DEFAULT_CLASS_BUDGET
 ) -> Automaton:
@@ -206,14 +259,11 @@ def canonical_automaton(
         raise InputError("alphabet must be nonempty")
     if len(set(letters)) != len(letters):
         raise InputError("duplicate letters in alphabet")
-    # Edges come class by class in discovery order, letters in alphabet order.
-    index = {EPSILON_CLASS: 0}
+    search = ClassSearch(len(letters), k, budget)
     successors: list[int] = []
-    for _members, _a, nxt, first_visit in class_edges(letters, k, budget):
-        if first_visit:
-            index[nxt] = len(index)
-        successors.append(index[nxt])
-    count = len(index)
-    del index  # free the classes before the states are built
-    return dfa_from_successors([f"c{i}" for i in range(count)], letters, successors, 0, ())
+    for row in search.rows():
+        successors += row
+    names = [f"c{i}" for i in range(len(search.classes))]
+    del search  # free the classes before the states are built
+    return dfa_from_successors(names, letters, successors, 0, ())
 

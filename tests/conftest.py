@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
-from ptlang import Automaton, determinize, make_automaton, minimize
+from ptlang import Automaton, BudgetExceededError, determinize, make_automaton, minimize
 from ptlang.automata import dfa_from_successors, require_complete_dfa
+from ptlang.subwords import DEFAULT_CLASS_BUDGET, EPSILON_CLASS
 
 
 def reference_minimize(a: Automaton) -> Automaton:
@@ -33,6 +35,40 @@ def reference_minimize(a: Automaton) -> Automaton:
     accepting = [b for b, q in least.items() if q in a.finals]
     names = [a.names[q] for q in least.values()]
     return dfa_from_successors(names, a.alphabet, successors, block[start], accepting)
+
+
+def reference_class_edges(alphabet, k, budget=DEFAULT_CLASS_BUDGET):
+    """Breadth-first search over the ~_k classes one edge at a time, as the
+    class search once ran it: yields (class, letter, successor, first_visit)
+    per edge, classes in discovery order and letters in alphabet order, and
+    raises BudgetExceededError on discovering class budget + 1.  The
+    reference the chunked search must match edge for edge."""
+    n = len(alphabet)
+
+    def grow(members, i):
+        # block L of `members` (offset, n^L bits) shifted into block L + 1
+        # at the place of letter i
+        grown, offset, size = members, 0, 1
+        for _ in range(k):
+            if offset >= members.bit_length():
+                break
+            grown |= ((members >> offset) & ((1 << size) - 1)) << (offset + (i + 1) * size)
+            offset, size = offset + size, size * n
+        return grown
+
+    seen = {EPSILON_CLASS}
+    queue = deque([EPSILON_CLASS])
+    while queue:
+        members = queue.popleft()
+        for i, a in enumerate(alphabet):
+            nxt = grow(members, i)
+            first_visit = nxt not in seen
+            if first_visit:
+                if len(seen) >= budget:
+                    raise BudgetExceededError(budget, len(seen) + 1, "classes")
+                seen.add(nxt)
+                queue.append(nxt)
+            yield members, a, nxt, first_visit
 
 
 def brute_subwords(w, k):

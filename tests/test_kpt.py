@@ -9,17 +9,21 @@ from conftest import (
     dfa_parity,
     dfa_piece,
     random_min_dfa,
+    reference_class_edges,
 )
 
 from ptlang import kpt
 from ptlang import (
+    BudgetExceededError,
     Certificate,
     ContractError,
+    canonical_automaton,
     decompose,
     depth,
     determinize,
     eval_piece_expression,
     gen_ak,
+    gen_tight_depth_dfa,
     gen_wk,
     is_0pt,
     is_1pt,
@@ -35,6 +39,8 @@ from ptlang import (
     verify_pair,
 )
 from ptlang.cli import serialize_automaton
+from ptlang.kpt import OracleAnswer
+from ptlang.subwords import EPSILON_CLASS
 
 
 def min_dfa(a):
@@ -125,6 +131,85 @@ def test_oracle_with_huge_k_stops_at_budget():
     start = time.perf_counter()
     assert is_kpt_oracle(m, 10**6, 1000).verdict == "unknown"
     assert time.perf_counter() - start < 1.0
+
+
+def reference_oracle(a, k, budget):
+    """is_kpt_oracle one edge at a time over reference_class_edges, as the
+    oracle once ran: each class keeps the state, parent and letter of its
+    first edge, and the first later edge to another state is the
+    certificate."""
+    rows = [[nxt for (nxt,) in row] for row in a.rows]
+    (start,) = a.starts
+    seen = {EPSILON_CLASS: (start, None, None)}
+
+    def access(cls):
+        letters = []
+        _, parent, letter = seen[cls]
+        while parent is not None:
+            letters.append(letter)
+            _, parent, letter = seen[parent]
+        return tuple(reversed(letters))
+
+    try:
+        for cls, letter, nxt, first_visit in reference_class_edges(a.alphabet, k, budget):
+            state = rows[seen[cls][0]][a.alphabet.index(letter)]
+            if first_visit:
+                seen[nxt] = (state, cls, letter)
+            elif seen[nxt][0] != state:
+                certificate = Certificate(
+                    k, access(nxt), access(cls) + (letter,), a.names[seen[nxt][0]], a.names[state]
+                )
+                return OracleAnswer("no", certificate)
+    except BudgetExceededError:
+        return OracleAnswer("unknown")
+    return OracleAnswer("yes")
+
+
+def budget_error(search):
+    """The message of the BudgetExceededError `search()` raises, or None."""
+    try:
+        search()
+    except BudgetExceededError as e:
+        return str(e)
+    return None
+
+
+BUDGET_CASES = {
+    "ak1": lambda: min_dfa(gen_ak(1)),
+    "ak2": lambda: min_dfa(gen_ak(2)),
+    "tight32": lambda: min_dfa(gen_tight_depth_dfa(3, 2)),
+    "ab_star": dfa_ab_star,
+}
+
+
+@pytest.mark.parametrize(
+    "case, k, verdicts",
+    [
+        ("ak1", 1, {("no", True), ("unknown", False)}),
+        ("ak1", 2, {("yes", True), ("unknown", False)}),
+        ("ak2", 2, {("no", True), ("no", False), ("unknown", False)}),
+        ("tight32", 2, {("no", True), ("no", False), ("unknown", False)}),
+        ("tight32", 3, {("yes", True), ("unknown", False)}),
+        ("ab_star", 1, {("no", True), ("no", False), ("unknown", False)}),
+    ],
+)
+def test_oracle_and_canonical_budgets_match_reference(case, k, verdicts):
+    # every budget from 0 to the class count + 1: the same verdict and
+    # certificate, and canonical_automaton raises at the same budgets with
+    # the same message.  ("no", False) is a budget that runs out after the
+    # first disagreeing edge: for ak2 at budget 66 and for (ab)* at budget
+    # 3, inside the chunk that holds that edge.
+    a = BUDGET_CASES[case]()
+    count = 1 + sum(first for *_, first in reference_class_edges(a.alphabet, k))
+    seen = set()
+    for budget in range(count + 2):
+        answer = is_kpt_oracle(a, k, budget)
+        assert answer == reference_oracle(a, k, budget), budget
+        error = budget_error(lambda: canonical_automaton(a.alphabet, k, budget))
+        assert error == budget_error(lambda: list(reference_class_edges(a.alphabet, k, budget))), budget
+        assert (error is None) == (budget >= count)
+        seen.add((answer.verdict, error is None))
+    assert seen == verdicts
 
 
 def test_oracle_rejects_nfa():

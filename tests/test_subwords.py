@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_words, brute_subwords, has_cycle_dfs, sub_k
+from conftest import all_words, brute_subwords, has_cycle_dfs, reference_class_edges, sub_k
 
 from ptlang import (
     BudgetExceededError,
@@ -17,7 +17,7 @@ from ptlang import (
     gen_wk,
     k_equivalent,
 )
-from ptlang.subwords import EPSILON_CLASS, ClassGrower, class_edges, class_pieces, decode_class
+from ptlang.subwords import CHUNK, EPSILON_CLASS, ClassSearch, class_pieces, decode_class
 
 words_ab = st.lists(st.sampled_from("ab"), max_size=10).map(tuple)
 words_abc = st.lists(st.sampled_from("abc"), max_size=10).map(tuple)
@@ -112,17 +112,53 @@ def test_class_edges_follow_appended_letters(letters, k):
     # each edge appends its letter to the first access word of its class,
     # and the classes are the sub_k sets of the words up to length P(k, n)
     alphabet = tuple(letters)
-    access = {EPSILON_CLASS: ()}
-    for cls, a, nxt, first_visit in class_edges(alphabet, k):
+    search = ClassSearch(len(alphabet), k)
+    access = [()]
+    edges = (edge for row in search.rows() for edge in row)
+    for e, nxt in enumerate(edges):
+        cls, i = divmod(e, len(alphabet))
         w = access[cls]
-        assert decode_class(cls, alphabet) == sub_k(w, k)
-        assert decode_class(nxt, alphabet) == sub_k(w + (a,), k)
-        assert first_visit == (nxt not in access)
-        access.setdefault(nxt, w + (a,))
+        assert decode_class(search.classes[cls], alphabet) == sub_k(w, k)
+        assert decode_class(search.classes[nxt], alphabet) == sub_k(w + (alphabet[i],), k)
+        assert nxt <= len(access)
+        if nxt == len(access):
+            access.append(w + (alphabet[i],))
     bound = math.comb(k + len(alphabet), k) - 1
-    decoded = {decode_class(cls, alphabet) for cls in access}
-    assert len(decoded) == len(access)
+    decoded = {decode_class(cls, alphabet) for cls in search.classes}
+    assert len(decoded) == len(access) == len(search.classes)
     assert decoded == {sub_k(w, k) for w in all_words(alphabet, bound)}
+
+
+@pytest.mark.parametrize(
+    "letters, k, count, full_chunks",
+    [
+        ("ab", 0, 1, 0),
+        ("ab", 3, 68, 0),
+        ("abc", 2, 152, 0),
+        ("ba", 3, 68, 0),
+        ("abc", 3, 5312, 4),
+        ("abcd", 2, 2326, 0),
+    ],
+)
+def test_chunked_class_search_matches_reference(letters, k, count, full_chunks):
+    # edge for edge: the source and successor numbers, the letter and the
+    # first visits; the last two cases take 13 and 9 chunks, and the first
+    # of them cuts breadth-first levels into chunks of CHUNK classes
+    alphabet = tuple(letters)
+    search = ClassSearch(len(alphabet), k)
+    rows = list(search.rows())
+    edges = [edge for row in rows for edge in row]
+    reference = list(reference_class_edges(alphabet, k))
+    assert len(search.classes) == count
+    assert len(edges) == len(reference) == count * len(alphabet)
+    assert sum(len(row) == CHUNK * len(alphabet) for row in rows) == full_chunks
+    number = {EPSILON_CLASS: 0}
+    for e, (cls, a, nxt, first_visit) in enumerate(reference):
+        assert first_visit == (nxt not in number)
+        number.setdefault(nxt, len(number))
+        assert (number[cls], alphabet.index(a)) == divmod(e, len(alphabet))
+        assert edges[e] == number[nxt]
+    assert search.classes == list(number)
 
 
 @st.composite
@@ -139,11 +175,11 @@ def test_integer_classes_match_subword_sets(case, k):
     # grow one letter at a time and decode each prefix's class: one bit per
     # member, and the members are the prefix's sub_k set
     alphabet, w = case
-    grow = ClassGrower(len(alphabet), k).grow
+    successors = ClassSearch(len(alphabet), k).successors
     members = EPSILON_CLASS
     for i in range(len(w) + 1):
         if i:
-            members = grow(members, alphabet.index(w[i - 1]))
+            members = successors([members])[alphabet.index(w[i - 1])]
         words = decode_class(members, alphabet)
         assert words == sub_k(w[:i], k) == brute_subwords(w[:i], k)
         assert bin(members).count("1") == len(words)
