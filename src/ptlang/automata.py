@@ -239,6 +239,14 @@ def dfa_rows(a: Automaton) -> list[list[int]]:
     return [[nxt for (nxt,) in row] for row in a.rows]
 
 
+def dfa_columns(a: Automaton) -> list[list[int]]:
+    """The successor table of a deterministic complete automaton, one list
+    per letter: entry [j][i] is the successor of state i under the j-th
+    letter."""
+    require_complete_dfa(a)
+    return [[nxt for (nxt,) in col] for col in zip(*a.rows)]
+
+
 def determinize(a: Automaton) -> Automaton:
     """Subset construction: a deterministic complete language-equivalent DFA.
 
@@ -272,19 +280,31 @@ def determinize(a: Automaton) -> Automaton:
 def minimize(a: Automaton) -> Automaton:
     """Minimal complete DFA by Moore partition refinement.
 
-    Requires a deterministic complete input; unreachable states are dropped
-    first.  The reachable states are renumbered 0..r-1 in name order, and
-    each round of the refinement runs over integer successor columns, one
-    per letter; a round that splits no block ends it.  Each block of merged
-    states is named after its lexicographically smallest member, which
-    keeps names short and the result reproducible.
+    Requires a deterministic complete input.  The refinement runs over the
+    successor columns of `dfa_columns`, one per letter; the reachable
+    states are found by frontier passes over the same columns, and only
+    when some state is unreachable are the reachable ones renumbered
+    0..r-1 in name order.  A round that splits no block ends the
+    refinement.  Each block of merged states is named after its
+    lexicographically smallest member, which keeps names short and the
+    result reproducible.
     """
-    require_complete_dfa(a)
-    reachable = sorted(a.reachable(a.starts))
-    index = dict(zip(reachable, range(len(reachable))))
-    # cols[j][i] is the index of reachable state i's successor under letter j.
-    cols = [[index[nxt] for (nxt,) in col] for col in zip(*map(a.rows.__getitem__, reachable))]
-    block = [1 if q in a.finals else 0 for q in reachable]
+    cols = dfa_columns(a)
+    (start,) = a.starts
+    seen = {start}
+    frontier: Iterable[int] = (start,)
+    while frontier:
+        frontier = {nxt for col in cols for nxt in map(col.__getitem__, frontier)} - seen
+        seen |= frontier
+    if len(seen) < len(a.names):
+        reachable: Sequence[int] = sorted(seen)
+        index = dict(zip(reachable, range(len(reachable))))
+        cols = [[index[col[q]] for q in reachable] for col in cols]
+        start = index[start]
+    else:
+        reachable = range(len(a.names))
+    final = [1 if q in a.finals else 0 for q in reachable]
+    block = final
     count = len(set(block))
     # Each round numbers the blocks in the order of their least members;
     # names sort like their indices.
@@ -299,10 +319,9 @@ def minimize(a: Automaton) -> Automaton:
     for i, b in enumerate(block):
         least.setdefault(b, i)
     successors = [block[col[i]] for i in least.values() for col in cols]
-    accepting = [b for b, i in least.items() if reachable[i] in a.finals]
+    accepting = [b for b, i in least.items() if final[i]]
     names = [a.names[reachable[i]] for i in least.values()]
-    (start,) = a.starts
-    return dfa_from_successors(names, a.alphabet, successors, block[index[start]], accepting)
+    return dfa_from_successors(names, a.alphabet, successors, block[start], accepting)
 
 
 def complete_with_sink(a: Automaton, sink_name: str = "sink") -> Automaton:
@@ -379,9 +398,8 @@ def transition_monoid(
     a: Automaton, budget: int = DEFAULT_MONOID_BUDGET
 ) -> TransitionMonoid:
     """Generate the transition monoid of a deterministic complete automaton."""
-    rows = dfa_rows(a)
-    generators = {letter: tuple(row[j] for row in rows) for j, letter in enumerate(a.alphabet)}
-    identity = tuple(range(len(rows)))
+    generators = dict(zip(a.alphabet, map(tuple, dfa_columns(a))))
+    identity = tuple(range(len(a.names)))
     elements = {identity}
     queue = deque([identity])
     while queue:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from itertools import chain, combinations
 
 from ptlang.automata import Automaton, InputError, Word, make_automaton
 from ptlang.subwords import DEFAULT_CLASS_BUDGET, canonical_automaton
@@ -161,22 +160,14 @@ def gen_intersection_nfa(alphabet: tuple[str, ...]) -> Automaton:
     if len(letters) > 20:
         raise InputError("alphabet too large for the powerset construction")
 
-    def name(subset: tuple[str, ...]) -> str:
-        return "{" + ",".join(sorted(subset)) + "}"
-
-    subsets = list(
-        chain.from_iterable(
-            combinations(sorted(letters), r) for r in range(len(letters) + 1)
-        )
-    )
-    triples = []
-    for subset in subsets:
-        for a in letters:
-            triples.append((name(subset), a, name(tuple(sorted(set(subset) | {a})))))
-    return make_automaton(
-        [name(s) for s in subsets],
-        letters,
-        triples,
-        [name(())],
-        [name(tuple(sorted(letters)))],
-    )
+    # names[m] names the subset whose letters, in sorted order, are the set
+    # bits of m: each letter appends itself to the names of the subsets of
+    # the letters before it.
+    ordered = sorted(letters)
+    members = [""]
+    for x in ordered:
+        members += [m + "," + x for m in members]
+    names = ["{" + m[1:] + "}" for m in members]
+    bits = {x: 1 << i for i, x in enumerate(ordered)}
+    triples = [(names[m], x, names[m | bits[x]]) for m in range(len(names)) for x in letters]
+    return make_automaton(names, letters, triples, [names[0]], [names[-1]])

@@ -14,7 +14,7 @@ first edge, in breadth-first order, that disagrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 from typing import Optional, Union
 
 from ptlang.automata import (
@@ -27,6 +27,7 @@ from ptlang.automata import (
     check_identity,
     depth,
     determinize,
+    dfa_columns,
     dfa_rows,
     minimize,
     require_complete_dfa,
@@ -91,14 +92,17 @@ def is_0pt(a: Automaton) -> bool:
 
 
 def is_1pt(a: Automaton) -> bool:
-    """Letter-level characterization of 1-PT on the minimal DFA:
-    every transition target is stable under its letter, and letters commute."""
-    rows = dfa_rows(a)
-    return all(
-        rows[px][x] == px and all(rows[px][y] == rows[py][x] for y, py in enumerate(row))
-        for row in rows
-        for x, px in enumerate(row)
-    )
+    """Letter-level characterization of 1-PT on the minimal DFA: every
+    letter's map is idempotent (x·x = x), and the maps of any two letters
+    commute (x·y = y·x), checked on whole successor columns."""
+    cols = dfa_columns(a)
+    for cx in cols:
+        if list(map(cx.__getitem__, cx)) != cx:
+            return False
+    for cx, cy in combinations(cols, 2):
+        if list(map(cy.__getitem__, cx)) != list(map(cx.__getitem__, cy)):
+            return False
+    return True
 
 
 def is_2pt(a: Automaton) -> bool:

@@ -6,7 +6,8 @@ restricted to its self-loop letters (the UMS property).  Being partially
 ordered and locally confluent is an equivalent condition; the tests check
 the UMS decision against a word search for it.  The UMS form also yields a
 sound certificate on complete partially ordered NFAs, with no
-determinization.
+determinization; `is_pt` gives an incomplete NFA a sink before it tries the
+certificate, and determinizes only when the certificate fails.
 
 `find_ums_violation` checks every state at once, in one pass per window of
 4,096 state indices over the states in reverse topological order.  Per
@@ -23,6 +24,7 @@ from typing import Optional
 from ptlang.automata import (
     Automaton,
     ContractError,
+    complete_with_sink,
     determinize,
     minimize,
 )
@@ -150,7 +152,11 @@ def certify_pt_nfa(a: Automaton) -> bool:
 
 
 def is_pt(a: Automaton) -> bool:
-    """Piecewise testability of the language of an arbitrary NFA."""
-    if certify_pt_nfa(a):
+    """Piecewise testability of the language of an arbitrary NFA.
+
+    An incomplete NFA gets a non-accepting sink first (`complete_with_sink`,
+    which keeps its language), so the certificate answers for every ptNFA
+    with no determinization; otherwise the minimal DFA decides."""
+    if certify_pt_nfa(complete_with_sink(a)):
         return True
     return is_pt_min_dfa(minimize(determinize(a)))

@@ -7,7 +7,7 @@ import random
 from collections import deque
 
 from ptlang import Automaton, BudgetExceededError, determinize, make_automaton, minimize
-from ptlang.automata import dfa_from_successors, require_complete_dfa
+from ptlang.automata import dfa_from_successors, dfa_rows, require_complete_dfa
 from ptlang.subwords import DEFAULT_CLASS_BUDGET, EPSILON_CLASS
 
 
@@ -35,6 +35,18 @@ def reference_minimize(a: Automaton) -> Automaton:
     accepting = [b for b, q in least.items() if q in a.finals]
     names = [a.names[q] for q in least.values()]
     return dfa_from_successors(names, a.alphabet, successors, block[start], accepting)
+
+
+def reference_is_1pt(a: Automaton) -> bool:
+    """1-PT of a minimal DFA one state at a time, as `is_1pt` once checked
+    it: for every state p and letters x, y, p.x.x = p.x and p.x.y = p.y.x.
+    The reference its column compositions must match."""
+    rows = dfa_rows(a)
+    return all(
+        rows[px][x] == px and all(rows[px][y] == rows[py][x] for y, py in enumerate(row))
+        for row in rows
+        for x, px in enumerate(row)
+    )
 
 
 def reference_class_edges(alphabet, k, budget=DEFAULT_CLASS_BUDGET):

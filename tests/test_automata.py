@@ -43,7 +43,7 @@ from ptlang import (
     minimize,
     transition_monoid,
 )
-from ptlang.automata import dfa_rows
+from ptlang.automata import dfa_columns, dfa_rows
 from ptlang.cli import parse_automaton, serialize_automaton
 from ptlang.pt import find_ums_violation
 
@@ -163,12 +163,18 @@ def test_table_rows_agree_with_transitions():
         for q, row in enumerate(rows):
             assert [{a.names[r]} for r in row] == [a.transitions[a.names[q], c] for c in a.alphabet]
             assert [(r,) for r in row] == list(a.rows[q])
+        cols = dfa_columns(a)
+        assert len(cols) == len(a.alphabet)
+        for j, col in enumerate(cols):
+            assert col == [row[j] for row in rows]
+    # An empty alphabet has no columns.
+    assert dfa_columns(make_automaton(["p", "q"], [], [], ["q"], [])) == []
 
 
 def test_table_requires_a_complete_dfa():
     partial = make_automaton(["p", "q"], ["a"], [("p", "a", "q")], ["p"], ["q"])
     complete_dfa_algorithms = (
-        dfa_rows, minimize, transition_monoid, is_0pt, is_1pt, is_2pt, is_3pt,
+        dfa_rows, dfa_columns, minimize, transition_monoid, is_0pt, is_1pt, is_2pt, is_3pt,
         lambda a: is_kpt_oracle(a, 2), lambda a: decompose(a, 2),
     )
     for algorithm in complete_dfa_algorithms:

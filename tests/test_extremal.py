@@ -16,6 +16,7 @@ from ptlang import (
     gen_wkn,
     is_kpt_oracle,
     k_equivalent,
+    make_automaton,
     min_k,
     minimize,
     pkn,
@@ -237,6 +238,26 @@ def test_intersection_nfa():
     assert min_k(a) == 1
     for w in all_words(("a", "b", "c"), 4):
         assert a.accepts(w) == (set(w) == {"a", "b", "c"})
+
+
+def _intersection_nfa_by_subsets(letters):
+    """The intersection NFA as it was first built: every subset of the
+    letters named from its sorted members, one name per transition end."""
+
+    def name(subset):
+        return "{" + ",".join(sorted(subset)) + "}"
+
+    subsets = [s for r in range(len(letters) + 1) for s in itertools.combinations(sorted(letters), r)]
+    triples = [(name(s), x, name(set(s) | {x})) for s in subsets for x in letters]
+    return make_automaton([name(s) for s in subsets], letters, triples, [name(())], [name(letters)])
+
+
+def test_intersection_nfa_matches_the_subset_construction():
+    alphabets = [tuple(f"a{i}" for i in range(n)) for n in range(1, 9)]
+    alphabets += [("b", "a", "c"), ("a10", "a9", "a1", "b"), ("z", "", "y")]
+    for letters in alphabets:
+        a, b = gen_intersection_nfa(letters), _intersection_nfa_by_subsets(letters)
+        assert (a.names, a.alphabet, a.rows, a.starts, a.finals) == (b.names, b.alphabet, b.rows, b.starts, b.finals)
 
 
 def test_intersection_nfa_guards():

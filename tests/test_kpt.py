@@ -8,8 +8,10 @@ from conftest import (
     dfa_only_epsilon,
     dfa_parity,
     dfa_piece,
+    random_complete_dfa,
     random_min_dfa,
     reference_class_edges,
+    reference_is_1pt,
 )
 
 from ptlang import kpt
@@ -60,6 +62,26 @@ def test_is_1pt_examples():
     # a.b requires order between two letters, so it is 2-PT but not 1-PT
     assert not is_1pt(dfa_piece(("a", "b"), ("a", "b")))
     assert not is_1pt(dfa_parity())
+
+
+def test_is_1pt_matches_the_row_reference():
+    rng = random.Random(29)
+    cases = [
+        random_complete_dfa(rng, max_states=6, letters=("a", "b", "c")[: rng.randint(1, 3)])
+        for _ in range(300)
+    ]
+    assert any(len(a.reachable(a.starts)) < len(a.names) for a in cases)
+    cases += [random_min_dfa(rng, max_states=6, letters=("a", "b", "c")[: rng.randint(1, 3)]) for _ in range(300)]
+    cases += [
+        make_automaton(["q"], letters, [("q", x, "q") for x in letters], ["q"], accepting)
+        for letters in ((), ("a",), ("a", "b", "c"))
+        for accepting in ([], ["q"])
+    ]
+    cases += [make_automaton(["p", "q"], [], [], ["q"], ["p"])]
+    verdicts = [is_1pt(a) for a in cases]
+    assert verdicts == [reference_is_1pt(a) for a in cases]
+    assert 0 < sum(verdicts[:300]) < 300 and 0 < sum(verdicts[300:600]) < 300
+    assert all(verdicts[600:])
 
 
 def test_is_2pt_examples():

@@ -10,6 +10,7 @@ from conftest import (
     dfa_parity,
     has_cycle_dfs,
     random_min_dfa,
+    random_nfa,
     random_po_complete_nfa,
 )
 
@@ -29,6 +30,7 @@ from ptlang import (
     minimize,
     verify_pair,
 )
+from ptlang import pt
 from ptlang.cli import parse_automaton
 from ptlang.pt import find_ums_violation
 
@@ -239,6 +241,35 @@ def test_nfa_certificate_soundness():
             certified += 1
             assert is_pt_min_dfa(minimize(determinize(a)))
     assert certified > 0
+
+
+def test_sink_completed_certificate_is_sound_and_is_pt_agrees():
+    # is_pt tries the certificate on the sink-completed NFA: it must never
+    # certify a non-PT language, and the verdict must stay the minimal DFA's.
+    rng = random.Random(59)
+    cases = [random_nfa(rng, max_states=5, letters=("a", "b", "c")[: rng.randint(1, 3)]) for _ in range(500)]
+    cases += [gen_ak(k) for k in range(10)]
+    certified = incomplete_certified = 0
+    for a in cases:
+        verdict = is_pt_min_dfa(minimize(determinize(a)))
+        if certify_pt_nfa(complete_with_sink(a)):
+            assert verdict, a
+            certified += 1
+            incomplete_certified += not a.complete
+        assert is_pt(a) == verdict, a
+    assert incomplete_certified >= 10 and certified < len(cases)
+
+
+def test_is_pt_certifies_ak_without_determinizing(monkeypatch):
+    # The minimal DFA of A_12 has 2^13 states; the sink-completed A_12 is a
+    # ptNFA, so no subset construction is needed.
+    def refuse(a):
+        raise AssertionError("is_pt determinized a certified ptNFA")
+
+    monkeypatch.setattr(pt, "determinize", refuse)
+    assert is_pt(gen_ak(12))
+    with pytest.raises(AssertionError):
+        is_pt(dfa_parity())
 
 
 def test_pt_implies_kpt_at_depth():
