@@ -57,7 +57,6 @@ from ptlang.extremal import (
     gen_wk,
     gen_wkn,
     pkn,
-    pkn_stirling,
 )
 
 # The public names imported above; the submodules are not among them.

@@ -7,8 +7,9 @@ integer form: state i is the i-th of the sorted state names, and each state
 has one sorted tuple of successor indices per letter.  Every algorithm reads
 that form and every construction builds it; the name-keyed `states`,
 `transitions`, `initials` and `accepting` are views computed on first use.
-Partial order has no test of its own: `depth` raises CyclicAutomatonError
-on a cycle through distinct states, as the UMS check of `pt` raises ContractError.
+Partial order has no test of its own: `depth` and the UMS check of `pt`
+both raise CyclicAutomatonError, a ContractError, on a cycle through
+distinct states.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ class ContractError(ValueError):
     """An operation's precondition was violated by the caller."""
 
 
-class CyclicAutomatonError(Exception):
-    """The transition graph has a cycle through distinct states, so the
-    acyclic-only notion of depth does not apply."""
+class CyclicAutomatonError(ContractError):
+    """The transition graph has a cycle through distinct states, so neither
+    depth nor the UMS property, both defined on partially ordered automata
+    only, applies."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -111,11 +113,6 @@ class Automaton:
     @cached_property
     def complete(self) -> bool:
         return all(all(row) for row in self.rows)
-
-    def _index(self, q: str) -> Optional[int]:
-        """The index of state `q`, or None if there is no such state."""
-        i = bisect_left(self.names, q)
-        return i if i < len(self.names) and self.names[i] == q else None
 
     def reachable(self, sources: Iterable[int]) -> set[int]:
         """The states reachable from `sources`, the sources included."""
@@ -324,16 +321,17 @@ def minimize(a: Automaton) -> Automaton:
     return dfa_from_successors(names, a.alphabet, successors, block[start], accepting)
 
 
-def complete_with_sink(a: Automaton, sink_name: str = "sink") -> Automaton:
-    """Route every missing transition to a fresh non-accepting sink state.
+def complete_with_sink(a: Automaton) -> Automaton:
+    """Route every missing transition to a fresh non-accepting sink state,
+    named `sink` with primes appended until no state has that name.
 
     Already-complete automata are returned unchanged.
     """
     if a.complete and a.names:
         return a
-    sink = sink_name
-    while a._index(sink) is not None:
-        sink = sink + "'"
+    sink = "sink"
+    while sink in a.names:
+        sink += "'"
     s = bisect_left(a.names, sink)
     shift = [q + (q >= s) for q in range(len(a.names))]
     rows = [tuple(tuple(shift[q] for q in dsts) or (s,) for dsts in row) for row in a.rows]

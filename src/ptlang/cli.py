@@ -35,9 +35,7 @@ from ptlang.automata import (
 from ptlang.subwords import DEFAULT_CLASS_BUDGET, canonical_automaton
 from ptlang.pt import is_pt
 from ptlang.kpt import (
-    ONE_PT_IDENTITIES,
-    THREE_PT_IDENTITIES,
-    TWO_PT_IDENTITIES,
+    IDENTITIES,
     PieceExpression,
     decompose,
     is_kpt,
@@ -52,7 +50,6 @@ from ptlang.extremal import (
     gen_wk,
     gen_wkn,
     pkn,
-    pkn_stirling,
 )
 
 EXIT_YES = 0
@@ -270,15 +267,12 @@ def cmd_depth(args) -> int:
     return EXIT_YES
 
 
-_IDENTITY_LEVELS = {1: ONE_PT_IDENTITIES, 2: TWO_PT_IDENTITIES, 3: THREE_PT_IDENTITIES}
-
-
 def cmd_monoid(args) -> int:
     monoid = transition_monoid(_min_dfa(load_automaton(args.file)), args.budget)
     report: dict = {"size": len(monoid.elements)}
     violated = False
     if args.check_identities is not None:
-        for lhs, rhs in _IDENTITY_LEVELS[args.check_identities]:
+        for lhs, rhs in IDENTITIES[args.check_identities]:
             counterexample = check_identity(monoid, lhs, rhs, args.budget)
             report[f"{lhs}={rhs}"] = "holds" if counterexample is None else "violated"
             violated = violated or counterexample is not None
@@ -302,8 +296,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_pkn(args) -> int:
-    value = pkn_stirling(args.k, args.n) if args.stirling else pkn(args.k, args.n)
-    _emit(args, {"pkn": value}, "pkn")
+    _emit(args, {"pkn": pkn(args.k, args.n)}, "pkn")
     return EXIT_YES
 
 
@@ -382,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pkn", cmd_pkn, file=False, help="the tight depth bound C(k+n,k)-1")
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--stirling", action="store_true")
 
     return parser
 
@@ -395,7 +387,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (BudgetExceededError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except (InputError, ContractError, CyclicAutomatonError) as exc:
+    except (InputError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:

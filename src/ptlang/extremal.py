@@ -17,14 +17,9 @@ from ptlang.subwords import DEFAULT_CLASS_BUDGET, canonical_automaton
 # builds; more would exhaust memory.
 MAX_WORD_LENGTH = 2**21
 
-# The most decimal digits of a result of pkn and pkn_stirling.  It stays
-# below Python's default limit of 4300 digits for printing an int.
+# The most decimal digits of a result of pkn.  It stays below Python's
+# default limit of 4300 digits for printing an int.
 MAX_PKN_DIGITS = 4000
-
-# A time limit: the largest k pkn_stirling takes.  Its cycle numbers cost
-# about k^3 digit operations; k = 2400 takes about 3 s and k = 4000 about
-# 16 s on a 2-CPU machine.
-MAX_STIRLING_K = 4000
 
 
 def gen_ak(k: int) -> Automaton:
@@ -79,27 +74,6 @@ def _log10_binomial(m: int, j: int) -> float:
     if j > 4 * MAX_PKN_DIGITS:  # 2^j > 10^MAX_PKN_DIGITS
         return math.inf
     return sum(math.log10(m - i) for i in range(j)) - math.lgamma(j + 1) / math.log(10)
-
-
-def pkn_stirling(k: int, n: int) -> int:
-    """P(k, n) computed through Stirling cycle numbers:
-    (1/k!) * sum_i [k+1, i+1] * n^i for i = 1..k."""
-    if k < 1 or n < 1:
-        raise InputError("k and n must be positive")
-    if k > MAX_STIRLING_K:
-        raise InputError(f"the Stirling evaluation takes k up to {MAX_STIRLING_K}")
-    if _log10_binomial(k + n, k) >= MAX_PKN_DIGITS:
-        raise InputError(f"P({k}, {n}) has more than {MAX_PKN_DIGITS} digits")
-    # Row k + 1 of the cycle numbers, built one row at a time from
-    # [0, 0] = 1 by [m+1, j] = [m, j-1] + m [m, j].
-    row = [1]
-    for m in range(k + 1):
-        row = [left + m * right for left, right in zip([0] + row, row + [0])]
-    total = sum(row[i + 1] * n**i for i in range(1, k + 1))
-    quotient, remainder = divmod(total, math.factorial(k))
-    if remainder:
-        raise ArithmeticError("Stirling sum is not divisible by k!")
-    return quotient
 
 
 def gen_wkn(k: int, n: int) -> Word:

@@ -44,13 +44,13 @@ from ptlang.subwords import (
     k_equivalent,
 )
 
-ONE_PT_IDENTITIES = (("x", "xx"), ("xy", "yx"))
-TWO_PT_IDENTITIES = (("xyxy", "yxyx"), ("xyzx", "xyxzx"))
-THREE_PT_IDENTITIES = (
-    ("xyxyxy", "yxyxyx"),
-    ("xzyxvxwy", "xzxyxvxwy"),
-    ("ywxvxyzx", "ywxvxyxzx"),
-)
+# The identities (lhs, rhs) whose truth in the transition monoid of the
+# minimal DFA characterizes k-PT, for k = 1, 2, 3.
+IDENTITIES = {
+    1: (("x", "xx"), ("xy", "yx")),
+    2: (("xyxy", "yxyx"), ("xyzx", "xyxzx")),
+    3: (("xyxyxy", "yxyxyx"), ("xzyxvxwy", "xzxyxvxwy"), ("ywxvxyzx", "ywxvxyxzx")),
+}
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,8 @@ class OracleAnswer:
 
 def is_0pt(a: Automaton) -> bool:
     """A minimal DFA recognizes a 0-PT language iff it has a single state."""
-    return len(dfa_rows(a)) == 1
+    require_complete_dfa(a)
+    return len(a.names) == 1
 
 
 def is_1pt(a: Automaton) -> bool:
@@ -135,7 +136,7 @@ def is_3pt(a: Automaton, budget: int = DEFAULT_MONOID_BUDGET) -> Optional[bool]:
     except BudgetExceededError:
         return None
     undecided = False
-    for lhs, rhs in THREE_PT_IDENTITIES:
+    for lhs, rhs in IDENTITIES[3]:
         try:
             if check_identity(monoid, lhs, rhs, budget) is not None:
                 return False

@@ -13,8 +13,10 @@ certificate, and determinizes only when the certificate fails.
 4,096 state indices over the states in reverse topological order.  Per
 window it costs O(moves) big-integer operations on integers of at most
 4,096 bits, so its bit sets take at most n * 512 bytes for n states; the
-order comes from Kahn's algorithm, which is also its partial-order test.
-An automaton has the UMS property iff `find_ums_violation` returns None.
+order comes from Kahn's algorithm, which is also its partial-order test:
+a cycle through distinct states raises CyclicAutomatonError, as `depth`
+does.  An automaton has the UMS property iff `find_ums_violation` returns
+None.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional
 
 from ptlang.automata import (
     Automaton,
-    ContractError,
+    CyclicAutomatonError,
     complete_with_sink,
     determinize,
     minimize,
@@ -38,10 +40,10 @@ UMS_WINDOW = 4096
 def find_ums_violation(a: Automaton) -> Optional[tuple[str, str]]:
     """A pair (p, q) of distinct maximal states sharing p's self-loop component.
 
-    Requires a partially ordered automaton.  For each state p the graph is
-    restricted to the letters with a self-loop at p; within the weakly
-    connected component of p, a state is maximal when it has no outgoing
-    edge to a different state.  Returns None when every p is the unique
+    Raises CyclicAutomatonError unless `a` is partially ordered.  For each
+    state p the graph is restricted to the letters with a self-loop at p;
+    within the weakly connected component of p, a state is maximal when it
+    has no outgoing edge to a different state.  Returns None when every p is the unique
     maximal state of its component; otherwise p is the least violating
     state and q the least other maximal state of p's component.
     """
@@ -72,7 +74,7 @@ def find_ums_violation(a: Automaton) -> Optional[tuple[str, str]]:
             if not indegree[r]:
                 order.append(r)
     if len(order) < n:
-        raise ContractError("the UMS property is defined on partially ordered automata")
+        raise CyclicAutomatonError("the UMS property is defined on partially ordered automata")
     order.reverse()
     visit = order
     if len(loops) > 1:
@@ -137,7 +139,7 @@ def is_pt_min_dfa(a: Automaton) -> bool:
     partially ordered, with the UMS property."""
     try:
         return find_ums_violation(a) is None
-    except ContractError:  # not partially ordered
+    except CyclicAutomatonError:
         return False
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 
@@ -47,6 +48,21 @@ def reference_is_1pt(a: Automaton) -> bool:
         for row in rows
         for x, px in enumerate(row)
     )
+
+
+def reference_pkn_stirling(k: int, n: int) -> int:
+    """P(k, n) through Stirling cycle numbers, as `pkn --stirling` once
+    computed it: (1/k!) * sum_i [k+1, i+1] * n^i for i = 1..k.  The
+    reference `pkn`'s binomial must match."""
+    # Row k + 1 of the cycle numbers, built one row at a time from
+    # [0, 0] = 1 by [m+1, j] = [m, j-1] + m [m, j].
+    row = [1]
+    for m in range(k + 1):
+        row = [left + m * right for left, right in zip([0] + row, row + [0])]
+    total = sum(row[i + 1] * n**i for i in range(1, k + 1))
+    quotient, remainder = divmod(total, math.factorial(k))
+    assert remainder == 0, "the Stirling sum is not divisible by k!"
+    return quotient
 
 
 def reference_class_edges(alphabet, k, budget=DEFAULT_CLASS_BUDGET):

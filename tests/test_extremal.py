@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from conftest import all_words, has_cycle_dfs, random_word, sub_k
+from conftest import all_words, has_cycle_dfs, random_word, reference_pkn_stirling, sub_k
 
 from ptlang import (
     InputError,
@@ -20,7 +20,6 @@ from ptlang import (
     min_k,
     minimize,
     pkn,
-    pkn_stirling,
     verify_pair,
 )
 
@@ -131,7 +130,10 @@ def test_gen_wk_truncation_certificate():
 def test_pkn_table():
     for (k, n), value in PKN_TABLE.items():
         assert pkn(k, n) == value
-        assert pkn_stirling(k, n) == value
+        assert reference_pkn_stirling(k, n) == value
+    for k in range(1, 41):
+        for n in range(1, 41):
+            assert pkn(k, n) == reference_pkn_stirling(k, n)
 
 
 def test_pkn_symmetry_and_recursion():
@@ -147,7 +149,7 @@ def test_pkn_rejects_zero():
     with pytest.raises(InputError):
         pkn(0, 3)
     with pytest.raises(InputError):
-        pkn_stirling(2, 0)
+        pkn(2, 0)
 
 
 def test_gen_wkn_base_cases():
