@@ -414,35 +414,38 @@ def transition_monoid(
 
 def check_identity(
     m: TransitionMonoid,
-    lhs: str,
-    rhs: str,
+    identities: Sequence[tuple[str, str]],
     budget: int = DEFAULT_MONOID_BUDGET,
 ) -> Optional[dict[str, StateMap]]:
-    """Check an identity such as ``xy = yx`` over all assignments of elements.
+    """Check identities such as ``xy = yx`` over all assignments of elements.
 
-    `lhs` and `rhs` are words over single-character variable names.  Returns
-    None when the identity holds, otherwise one violating assignment.  Words
-    are read through the size x size composition table, whose cells count
-    against the budget like the size^variables assignments.
+    Each identity is a pair (lhs, rhs) of words over single-character
+    variable names.  An identity in v variables needs max(size^2, size^v)
+    of the budget, for the size x size composition table its words are read
+    through and for its assignments; the first identity over budget raises
+    before any table is built.  Returns None when every identity holds,
+    otherwise a violating assignment of the first one that fails.
     """
-    variables = sorted(set(lhs) | set(rhs))
     size = len(m.elements)
-    needed = max(size * size, size ** len(variables))
-    if needed > budget:
-        raise BudgetExceededError(budget, needed, "assignments")
+    for lhs, rhs in identities:
+        needed = max(size * size, size ** len(set(lhs + rhs)))
+        if needed > budget:
+            raise BudgetExceededError(budget, needed, "assignments")
     pool = sorted(m.elements)
     index = {e: i for i, e in enumerate(pool)}
     table = [[index[TransitionMonoid.compose(e, f)] for f in pool] for e in pool]
     identity = index[m.identity]
-    lhs_vars = [variables.index(c) for c in lhs]
-    rhs_vars = [variables.index(c) for c in rhs]
-    for choice in itertools.product(range(size), repeat=len(variables)):
-        left = identity
-        for v in lhs_vars:
-            left = table[left][choice[v]]
-        right = identity
-        for v in rhs_vars:
-            right = table[right][choice[v]]
-        if left != right:
-            return {variables[i]: pool[choice[i]] for i in range(len(variables))}
+    for lhs, rhs in identities:
+        variables = sorted(set(lhs + rhs))
+        lhs_vars = [variables.index(c) for c in lhs]
+        rhs_vars = [variables.index(c) for c in rhs]
+        for choice in itertools.product(range(size), repeat=len(variables)):
+            left = identity
+            for v in lhs_vars:
+                left = table[left][choice[v]]
+            right = identity
+            for v in rhs_vars:
+                right = table[right][choice[v]]
+            if left != right:
+                return {variables[i]: pool[choice[i]] for i in range(len(variables))}
     return None

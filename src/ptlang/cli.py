@@ -273,7 +273,7 @@ def cmd_monoid(args) -> int:
     violated = False
     if args.check_identities is not None:
         for lhs, rhs in IDENTITIES[args.check_identities]:
-            counterexample = check_identity(monoid, lhs, rhs, args.budget)
+            counterexample = check_identity(monoid, [(lhs, rhs)], args.budget)
             report[f"{lhs}={rhs}"] = "holds" if counterexample is None else "violated"
             violated = violated or counterexample is not None
     _emit(args, report)

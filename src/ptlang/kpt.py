@@ -127,22 +127,15 @@ def is_2pt(a: Automaton) -> bool:
 def is_3pt(a: Automaton, budget: int = DEFAULT_MONOID_BUDGET) -> Optional[bool]:
     """3-PT via the three defining identities of the transition monoid.
 
-    The budget bounds both the monoid's elements and each identity's
-    assignments.  Returns None when either outgrows it; callers fall back to
-    the generic oracle.
+    The budget bounds the monoid's elements and, as in `check_identity`,
+    each identity's table and assignments.  Returns None, before any
+    composition table is built, when one of them outgrows it; callers fall
+    back to the generic oracle.
     """
     try:
-        monoid = transition_monoid(a, budget)
+        return check_identity(transition_monoid(a, budget), IDENTITIES[3], budget) is None
     except BudgetExceededError:
         return None
-    undecided = False
-    for lhs, rhs in IDENTITIES[3]:
-        try:
-            if check_identity(monoid, lhs, rhs, budget) is not None:
-                return False
-        except BudgetExceededError:
-            undecided = True
-    return None if undecided else True
 
 
 # The classes by number, the DFA state each one reaches, and the edge that

@@ -147,8 +147,6 @@ class ClassSearch:
             for bit, shift in moves
         ]
         for offset, mask, shifts in self._blocks[1:]:
-            if offset >= bits:
-                break
             # Each class's block, once per letter.
             parts = chain.from_iterable(zip(*[[(members >> offset) & mask for members in chunk]] * self._n))
             grown = [g | part << shift for g, part, shift in zip(grown, parts, cycle(shifts))]

@@ -64,6 +64,8 @@ def test_run_single_letter_on_a2():
     a2 = gen_ak(2)
     assert a2.run(("a2",)) == frozenset({"0", "1"})
     assert a2.run(("a1",)) == frozenset({"0", "2"})
+    with pytest.raises(ContractError, match="^dstate requires a deterministic automaton$"):
+        a2.dstate(("a2",))
 
 
 def test_accepts_agrees_with_run():
@@ -344,18 +346,22 @@ def test_transition_monoid_budget():
 def test_check_identity_on_epsilon_dfa():
     m = transition_monoid(dfa_only_epsilon())
     assert len(m.elements) == 2
-    assert check_identity(m, "x", "xx") is None
-    assert check_identity(m, "xy", "yx") is None
+    assert check_identity(m, [("x", "xx")]) is None
+    assert check_identity(m, [("xy", "yx")]) is None
 
 
 def test_check_identity_violation():
     lab = dfa_piece(("a", "b"), ("a", "b"))
     m = transition_monoid(lab)
-    violation = check_identity(m, "xy", "yx")
+    violation = check_identity(m, [("xy", "yx")])
     assert violation is not None
     x, y = violation["x"], violation["y"]
     assert TransitionMonoid.compose(x, y) != TransitionMonoid.compose(y, x)
-    assert check_identity(m, "x", "x") is None
+    assert check_identity(m, [("x", "x")]) is None
+    # Of two identities, only the second fails: its violation comes back.
+    violation = check_identity(m, [("x", "x"), ("xy", "yx")])
+    x, y = violation["x"], violation["y"]
+    assert TransitionMonoid.compose(x, y) != TransitionMonoid.compose(y, x)
 
 
 def test_check_identity_beyond_the_table():
@@ -370,13 +376,22 @@ def test_check_identity_beyond_the_table():
     m = transition_monoid(make_automaton(states, ["c", "t", "e"], triples, ["0"], []))
     assert len(m.elements) == 3125
     with pytest.raises(BudgetExceededError, match=r"^budget of 1000000 assignments exceeded \(reached 9765625\)$"):
-        check_identity(m, "x", "xx")
+        check_identity(m, [("x", "xx")])
 
 
-def test_check_identity_budget():
+def test_check_identity_budget(monkeypatch):
     m = transition_monoid(dfa_piece(("a", "b"), ("a", "b")))
     with pytest.raises(BudgetExceededError):
-        check_identity(m, "xy", "yx", budget=10)
+        check_identity(m, [("xy", "yx")], budget=10)
+    # Over 5 elements xy=yx needs 25 and xyz=zyx 125: a budget between the
+    # two refuses the list for the wider identity before it composes any
+    # two elements.
+    composed = []
+    compose = TransitionMonoid.compose
+    monkeypatch.setattr(TransitionMonoid, "compose", staticmethod(lambda f, s: composed.append(f) or compose(f, s)))
+    with pytest.raises(BudgetExceededError, match=r"^budget of 100 assignments exceeded \(reached 125\)$"):
+        check_identity(m, [("xy", "yx"), ("xyz", "zyx")], budget=100)
+    assert composed == []
 
 
 def test_determinize_preserves_language():

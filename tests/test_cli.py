@@ -134,6 +134,22 @@ def test_parse_word():
     assert word_to_str(("a", "b")) == "a b"
 
 
+@pytest.mark.parametrize(
+    "alphabet, line, message",
+    [
+        ("a b", "sX a s1", "transition source 'sX' not a declared state"),
+        ("a b", "s0 a sX", "transition target 'sX' not a declared state"),
+        ("a b", "s0 z s1", "transition letter 'z' not in alphabet"),
+        ("a a", "s0 a s1", "duplicate letters in alphabet"),
+    ],
+)
+def test_cli_info_refuses_an_invalid_automaton(tmp_path, capsys, alphabet, line, message):
+    path = tmp_path / "bad.aut"
+    path.write_text(f"alphabet: {alphabet}\nstates: s0 s1\ninitial: s0\naccepting: s1\n{line}\n")
+    assert main(["info", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: invalid automaton: {message}\n"
+
+
 def test_cli_info(ab_piece_file, capsys):
     assert main(["info", ab_piece_file]) == 0
     out = capsys.readouterr().out
@@ -200,6 +216,12 @@ def test_cli_witness_and_verify(ab_piece_file, capsys):
     # a non-equivalent pair is rejected
     assert main(["verify", "--k", "1", "--w1", "a", "--w2", "b", ab_piece_file]) == 1
     assert capsys.readouterr().out.strip() == "invalid"
+    # a letter outside the alphabet is an input error
+    assert main(["verify", "--k", "1", "--w1", "z", "--w2", "a", ab_piece_file]) == 2
+    assert capsys.readouterr().err == "error: unknown letter 'z' in witness word\n"
+    # the oracle runs out of classes at k = 3
+    assert main(["witness", "--k", "3", "--budget", "5", ab_piece_file]) == 3
+    assert capsys.readouterr().out == "unknown\n"
 
 
 def test_cli_verify_wk_pair_beyond_sub_k_sets(tmp_path, capsys):
@@ -218,13 +240,18 @@ def test_cli_verify_wk_pair_beyond_sub_k_sets(tmp_path, capsys):
     assert capsys.readouterr().out.split() == ["valid"] + ["invalid"] * 3
 
 
-def test_cli_decompose(ab_piece_file, capsys):
+def test_cli_decompose(ab_piece_file, tmp_path, capsys):
     assert main(["decompose", "--k", "2", ab_piece_file]) == 0
     expr = capsys.readouterr().out.strip()
     assert "a.b" in expr
     # decomposing below the true k is a contract error
     assert main(["decompose", "--k", "1", ab_piece_file]) == 2
     assert "error:" in capsys.readouterr().err
+    # the empty language has no clause
+    empty = tmp_path / "empty.aut"
+    empty.write_text("alphabet: a\nstates: q\ninitial: q\naccepting:\nq a q\n")
+    assert main(["decompose", "--k", "1", str(empty)]) == 0
+    assert capsys.readouterr().out == "FALSE\n"
 
 
 def test_cli_canonical(capsys):
@@ -352,6 +379,38 @@ def test_readme_invocations_run(tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out
         if args[1:] == ["pkn", "6", "6"]:
             assert out == "923\n"
+
+
+def test_cli_determinize(tmp_path, capsys):
+    machine = readme_block("Automata live in a small text format:")
+    (tmp_path / "machine.aut").write_text("\n".join(machine) + "\n")
+    assert main(["determinize", str(tmp_path / "machine.aut")]) == 0
+    d = parse_automaton(capsys.readouterr().out)
+    assert d.states == {"{s0}", "{s1}"}
+    assert d.initials == {"{s0}"} and d.accepting == {"{s1}"}
+
+
+def test_ci_workflow_steps_are_well_formed():
+    yaml = pytest.importorskip("yaml")
+
+    class UniqueKeyLoader(yaml.SafeLoader):
+        """Refuses a mapping that repeats a key, as GitHub Actions does."""
+
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                key = self.construct_object(key_node, deep=deep)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(None, None, f"duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+            return super().construct_mapping(node, deep)
+
+    text = (Path(__file__).parent.parent / ".github" / "workflows" / "tests.yml").read_text()
+    workflow = yaml.load(text, Loader=UniqueKeyLoader)
+    for job in workflow["jobs"].values():
+        assert job["steps"]
+        for step in job["steps"]:
+            assert ("run" in step) != ("uses" in step), step
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from ptlang import (
     BudgetExceededError,
     Certificate,
     ContractError,
+    TransitionMonoid,
     canonical_automaton,
     decompose,
     depth,
@@ -37,6 +38,7 @@ from ptlang import (
     min_k,
     minimize,
     pkn,
+    transition_monoid,
     verify_certificate,
     verify_pair,
 )
@@ -100,10 +102,29 @@ def test_is_3pt_examples():
     assert is_3pt(min_dfa(dfa_parity())) is False
 
 
-def test_is_3pt_budget_returns_unknown():
+def test_is_3pt_budget_returns_unknown(monkeypatch):
     # 16 monoid elements and 5 variables exceed the default budget
     assert is_3pt(min_dfa(gen_ak(3))) is None
     assert is_3pt(min_dfa(gen_ak(2)), budget=2) is None
+    # The minimal tight (3,3) and (4,2) DFAs have 144 and 65 monoid
+    # elements: identity 1 fits the default budget, the 5-variable ones do
+    # not, so is_3pt gives up before it composes two elements and is_kpt
+    # asks the oracle.
+    composed = []
+    compose = TransitionMonoid.compose
+    monkeypatch.setattr(TransitionMonoid, "compose", staticmethod(lambda f, s: composed.append(f) or compose(f, s)))
+    for k, n, size, verdict in [(3, 3, 144, "yes"), (4, 2, 65, "no")]:
+        m = min_dfa(gen_tight_depth_dfa(k, n))
+        monoid = transition_monoid(m)
+        assert len(monoid.elements) == size
+        monkeypatch.setattr(kpt, "transition_monoid", lambda a, budget: monoid)
+        composed.clear()
+        assert is_3pt(m) is None
+        assert composed == []
+        answer = is_kpt(m, 3)
+        assert answer.verdict == verdict
+        if verdict == "no":
+            assert verify_certificate(m, answer.certificate)
 
 
 def test_is_kpt_asks_is_3pt_only_of_pt_languages(monkeypatch):
@@ -311,6 +332,8 @@ def test_min_k_examples():
     assert min_k(dfa_ab_star()) is None
     for k in range(3):
         assert min_k(gen_ak(k)) == k + 1
+    assert min_k(gen_tight_depth_dfa(3, 3)) == 3
+    assert min_k(gen_tight_depth_dfa(4, 2)) == 4
 
 
 def test_min_k_interval_on_budget():
