@@ -7,9 +7,12 @@ integer form: state i is the i-th of the sorted state names, and each state
 has one sorted tuple of successor indices per letter.  Every algorithm reads
 that form and every construction builds it; the name-keyed `states`,
 `transitions`, `initials` and `accepting` are views computed on first use.
-Partial order has no test of its own: `depth` and the UMS check of `pt`
-both raise CyclicAutomatonError, a ContractError, on a cycle through
-distinct states.
+`partial_order` is the one test of partial order: one pass over the rows
+splits each state's transitions into moves to other states and self-loop
+letters, and Kahn's algorithm orders the states or raises
+CyclicAutomatonError, a ContractError, on a cycle through distinct states.
+`depth` folds over that order, and the UMS check of `pt` reads the same
+split.
 """
 
 from __future__ import annotations
@@ -342,31 +345,64 @@ def complete_with_sink(a: Automaton) -> Automaton:
     )
 
 
+# The moves of each state to other states, as (letter index, target)
+# pairs; the letter indices of its self-loops; and the states in an order
+# in which every move goes forward.
+PartialOrder = tuple[list[list[tuple[int, int]]], list[list[int]], list[int]]
+
+
+def partial_order(a: Automaton) -> PartialOrder:
+    """Split each state's transitions into moves and self-loop letters in
+    one pass over the rows, then order the states by Kahn's algorithm.
+
+    Raises CyclicAutomatonError on a cycle through distinct states, whose
+    states the order cannot reach: `depth` and the UMS check of `pt` are
+    defined on partially ordered automata only.
+    """
+    moves: list[list[tuple[int, int]]] = []
+    loops: list[list[int]] = []
+    indegree = [0] * len(a.rows)
+    for q, row in enumerate(a.rows):
+        out = []
+        own = []
+        # A counter, not enumerate, numbers the letters: this loop runs once
+        # per transition of every PT, UMS and depth question.
+        j = 0
+        for dsts in row:
+            for r in dsts:
+                if r == q:
+                    own.append(j)
+                else:
+                    out.append((j, r))
+                    indegree[r] += 1
+            j += 1
+        moves.append(out)
+        loops.append(own)
+    order = [q for q, d in enumerate(indegree) if not d]
+    for q in order:
+        for _, r in moves[q]:
+            indegree[r] -= 1
+            if not indegree[r]:
+                order.append(r)
+    if len(order) < len(moves):
+        raise CyclicAutomatonError("depth is undefined on cyclic automata")
+    return moves, loops, order
+
+
 def depth(a: Automaton) -> int:
     """Number of transitions on the longest path, self-loops ignored.
 
     Only defined for partially ordered automata, where the longest simple
-    path is the longest path of the self-loop-free DAG.  One Kahn pass finds
-    it, and raises CyclicAutomatonError when the order does not cover every
-    state.
+    path is the longest path over the moves of `partial_order`, folded
+    over its order from the last state back: a state's longest path is one
+    move longer than the longest from any target of its moves.
     """
-    adj = [{dst for dsts in row for dst in dsts if dst != src} for src, row in enumerate(a.rows)]
-    indegree = [0] * len(adj)
-    for dsts in adj:
-        for dst in dsts:
-            indegree[dst] += 1
-    longest = [0] * len(adj)
-    order = [q for q, d in enumerate(indegree) if d == 0]
-    for q in order:
-        step = longest[q] + 1
-        for dst in adj[q]:
-            if step > longest[dst]:
-                longest[dst] = step
-            indegree[dst] -= 1
-            if indegree[dst] == 0:
-                order.append(dst)
-    if len(order) < len(adj):
-        raise CyclicAutomatonError("depth is undefined on cyclic automata")
+    moves, _, order = partial_order(a)
+    longest = [0] * len(order)
+    for q in reversed(order):
+        for _, r in moves[q]:
+            if longest[r] >= longest[q]:
+                longest[q] = longest[r] + 1
     return max(longest, default=0)
 
 

@@ -1,6 +1,8 @@
 """k-piecewise testability: deciders, certificates and piece decompositions.
 
-The specialized deciders for k = 0..3 run directly on the minimal DFA; the
+The specialized deciders for k = 0..2 run directly on the minimal DFA's
+successor table; `is_3pt` checks three identities on its transition monoid,
+which it generates only as far as the identities' budget admits.  The
 generic oracle pairs ~_k classes with the states they reach and answers
 "no" with a two-word certificate as soon as one class reaches two distinct
 states.  It reads the class search (subwords.ClassSearch) a chunk of
@@ -127,13 +129,21 @@ def is_2pt(a: Automaton) -> bool:
 def is_3pt(a: Automaton, budget: int = DEFAULT_MONOID_BUDGET) -> Optional[bool]:
     """3-PT via the three defining identities of the transition monoid.
 
-    The budget bounds the monoid's elements and, as in `check_identity`,
-    each identity's table and assignments.  Returns None, before any
-    composition table is built, when one of them outgrows it; callers fall
-    back to the generic oracle.
+    The budget bounds, as in `check_identity`, each identity's table and
+    assignments.  Two identities have 5 variables, so `check_identity`
+    refuses a monoid of s elements when s^5 exceeds the budget; the monoid
+    is therefore generated only up to the largest such s that fits (15 at
+    the default 10^6).  Returns None, before any composition table is
+    built, when the monoid outgrows that; callers fall back to the generic
+    oracle.
     """
+    # The largest cap with cap^5 <= budget, found one bit at a time.
+    cap = 0
+    for bit in reversed(range(max(budget, 0).bit_length() // 5 + 1)):
+        if (cap | 1 << bit) ** 5 <= budget:
+            cap |= 1 << bit
     try:
-        return check_identity(transition_monoid(a, budget), IDENTITIES[3], budget) is None
+        return check_identity(transition_monoid(a, cap), IDENTITIES[3], budget) is None
     except BudgetExceededError:
         return None
 

@@ -12,11 +12,11 @@ certificate, and determinizes only when the certificate fails.
 `find_ums_violation` checks every state at once, in one pass per window of
 4,096 state indices over the states in reverse topological order.  Per
 window it costs O(moves) big-integer operations on integers of at most
-4,096 bits, so its bit sets take at most n * 512 bytes for n states; the
-order comes from Kahn's algorithm, which is also its partial-order test:
-a cycle through distinct states raises CyclicAutomatonError, as `depth`
-does.  An automaton has the UMS property iff `find_ums_violation` returns
-None.
+4,096 bits, so its bit sets take at most n * 512 bytes for n states.  Its
+moves, self-loop letters and order come from `automata.partial_order`, the
+pass `depth` folds over too, which raises CyclicAutomatonError on a cycle
+through distinct states.  An automaton has the UMS property iff
+`find_ums_violation` returns None.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from ptlang.automata import (
     complete_with_sink,
     determinize,
     minimize,
+    partial_order,
 )
 
 
@@ -48,36 +49,17 @@ def find_ums_violation(a: Automaton) -> Optional[tuple[str, str]]:
     state and q the least other maximal state of p's component.
     """
     n = len(a.rows)
-    # The moves between distinct states, as (letter index, target) pairs;
-    # the in-degrees for Kahn's order; and per window of UMS_WINDOW states,
-    # per letter, the bit set of the window's states that loop on it.
-    moves: list[list[tuple[int, int]]] = []
-    indegree = [0] * n
-    loops: list[list[int]] = []
-    for lo in range(0, n, UMS_WINDOW):
-        window = [0] * len(a.alphabet)
-        for q in range(lo, min(n, lo + UMS_WINDOW)):
-            out = []
-            for j, dsts in enumerate(a.rows[q]):
-                for r in dsts:
-                    if r == q:
-                        window[j] |= 1 << (q - lo)
-                    else:
-                        out.append((j, r))
-                        indegree[r] += 1
-            moves.append(out)
-        loops.append(window)
-    order = [q for q, d in enumerate(indegree) if not d]
-    for q in order:
-        for _, r in moves[q]:
-            indegree[r] -= 1
-            if not indegree[r]:
-                order.append(r)
-    if len(order) < n:
-        raise CyclicAutomatonError("the UMS property is defined on partially ordered automata")
+    moves, loops, order = partial_order(a)
+    # Per window of UMS_WINDOW states, per letter, the bit set of the
+    # window's states that loop on it.
+    windows = [[0] * len(a.alphabet) for _ in range(0, n, UMS_WINDOW)]
+    for q, own in enumerate(loops):
+        window, bit = windows[q // UMS_WINDOW], 1 << q % UMS_WINDOW
+        for j in own:
+            window[j] |= bit
     order.reverse()
     visit = order
-    if len(loops) > 1:
+    if len(windows) > 1:
         # Bit w of hits[q]: q reaches a state of window w, which a pass over
         # window w must then visit.
         hits = [0] * n
@@ -91,9 +73,9 @@ def find_ums_violation(a: Automaton) -> Optional[tuple[str, str]]:
     # UMS iff some move q -x-> r has p in reach[q], an x-loop at p, and p
     # not in reach[r].  `miss` collects, over q's moves, the looping states
     # that the move's target does not reach.
-    for w, window in enumerate(loops):
+    for w, window in enumerate(windows):
         lo = w * UMS_WINDOW
-        if len(loops) > 1:
+        if len(windows) > 1:
             visit = [q for q in order if hits[q] >> w & 1]
         reach = [0] * n
         bad = 0
@@ -109,13 +91,13 @@ def find_ums_violation(a: Automaton) -> Optional[tuple[str, str]]:
             reach[q] = here
         if bad:
             p = lo + (bad & -bad).bit_length() - 1
-            return a.names[p], a.names[_other_maximal(a, moves, p)]
+            return a.names[p], a.names[_other_maximal(moves, set(loops[p]), p)]
     return None
 
 
-def _other_maximal(a: Automaton, moves: list[list[tuple[int, int]]], p: int) -> int:
-    """The least maximal state other than p in p's self-loop component."""
-    gamma = {j for j, dsts in enumerate(a.rows[p]) if p in dsts}
+def _other_maximal(moves: list[list[tuple[int, int]]], gamma: set[int], p: int) -> int:
+    """The least maximal state other than p in p's self-loop component,
+    gamma the indices of p's self-loop letters."""
     links: list[list[int]] = [[] for _ in moves]
     stuck = [True] * len(moves)
     for q, out in enumerate(moves):

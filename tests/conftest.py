@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -175,6 +176,21 @@ def has_cycle_dfs(a: Automaton) -> bool:
         return False
 
     return any(color[q] == WHITE and visit(q) for q in sorted(a.states))
+
+
+def reference_depth(a: Automaton) -> int:
+    """Longest path through distinct states, self-loops ignored, by memoized
+    recursion over the name-keyed transitions of a partially ordered
+    automaton: the reference `depth`'s fold over Kahn's order must match."""
+    succ = {q: set() for q in a.states}
+    for (src, _), dsts in a.transitions.items():
+        succ[src] |= dsts - {src}
+
+    @functools.cache
+    def longest(q):
+        return max((1 + longest(r) for r in succ[q]), default=0)
+
+    return max(map(longest, a.states), default=0)
 
 
 def random_nfa(rng: random.Random, max_states=5, letters=("a", "b")) -> Automaton:

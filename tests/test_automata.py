@@ -11,10 +11,13 @@ from conftest import (
     dfa_walk,
     has_cycle_dfs,
     languages_agree,
+    random_acyclic_complete_dfa,
     random_complete_dfa,
     random_min_dfa,
     random_nfa,
+    random_po_complete_nfa,
     random_word,
+    reference_depth,
     reference_minimize,
 )
 
@@ -45,7 +48,7 @@ from ptlang import (
     minimize,
     transition_monoid,
 )
-from ptlang.automata import dfa_columns, dfa_rows
+from ptlang.automata import dfa_columns, dfa_rows, partial_order
 from ptlang.cli import parse_automaton, serialize_automaton
 from ptlang.pt import find_ums_violation
 
@@ -311,6 +314,47 @@ def test_depth_trivial_and_cyclic():
     two_cycle = make_automaton(["p", "q"], ["a"], [("p", "a", "q"), ("q", "a", "p")], ["p"], [])
     with pytest.raises(CyclicAutomatonError):
         depth(two_cycle)
+
+
+def test_partial_order_splits_each_row_and_orders_moves_forward():
+    # The one pass splits every row exactly into moves to other states and
+    # self-loop letters, every move goes forward in its order, and it
+    # raises exactly when the depth-first reference finds a cycle.
+    rng = random.Random(23)
+    cases = [random_nfa(rng, max_states=6, letters=("a", "b", "c")) for _ in range(500)]
+    cases += [random_po_complete_nfa(rng, max_states=6, letters=("a", "b", "c")) for _ in range(500)]
+    ordered = 0
+    for a in cases:
+        if has_cycle_dfs(a):
+            with pytest.raises(CyclicAutomatonError):
+                partial_order(a)
+            continue
+        ordered += 1
+        moves, loops, order = partial_order(a)
+        assert sorted(order) == list(range(len(a.names)))
+        position = {q: i for i, q in enumerate(order)}
+        for q, row in enumerate(a.rows):
+            split = [
+                sorted([r for x, r in moves[q] if x == j] + [q] * loops[q].count(j))
+                for j in range(len(a.alphabet))
+            ]
+            assert split == [list(dsts) for dsts in row]
+            assert all(position[q] < position[r] for _, r in moves[q])
+    assert ordered >= 500
+
+
+def test_depth_matches_longest_path_reference():
+    rng = random.Random(29)
+    letters = ("a", "b", "c")
+    cases = [random_po_complete_nfa(rng, max_states=7, letters=letters) for _ in range(200)]
+    dfas = [random_acyclic_complete_dfa(rng, max_states=8, letters=letters) for _ in range(200)]
+    cases += dfas + [minimize(d) for d in dfas]
+    cases += [a for a in (random_nfa(rng, max_states=6) for _ in range(300)) if not has_cycle_dfs(a)]
+    cases += [gen_ak(k) for k in range(4)] + [minimize(determinize(gen_ak(k))) for k in range(4)]
+    cases += [gen_tight_depth_dfa(2, 3), minimize(gen_tight_depth_dfa(3, 2))]
+    assert len(cases) > 600
+    for a in cases:
+        assert depth(a) == reference_depth(a), a
 
 
 def test_transition_monoid_of_piece_dfa():

@@ -21,6 +21,7 @@ from ptlang import (
     ContractError,
     TransitionMonoid,
     canonical_automaton,
+    check_identity,
     decompose,
     depth,
     determinize,
@@ -43,7 +44,7 @@ from ptlang import (
     verify_pair,
 )
 from ptlang.cli import serialize_automaton
-from ptlang.kpt import OracleAnswer
+from ptlang.kpt import IDENTITIES, OracleAnswer
 from ptlang.subwords import EPSILON_CLASS
 
 
@@ -125,6 +126,42 @@ def test_is_3pt_budget_returns_unknown(monkeypatch):
         assert answer.verdict == verdict
         if verdict == "no":
             assert verify_certificate(m, answer.certificate)
+
+
+def test_is_3pt_asks_only_for_a_monoid_its_identities_admit(monkeypatch):
+    # check_identity refuses a monoid of s elements when s^5 exceeds the
+    # budget, so is_3pt asks for at most the largest s with s^5 <= budget:
+    # 15 at the default 10^6, 10 at 10^5.  The minimal tight (2,5) DFA's
+    # monoid is given up at its 16th element.
+    asked = []
+    build = kpt.transition_monoid
+    monkeypatch.setattr(kpt, "transition_monoid", lambda a, budget: asked.append(budget) or build(a, budget))
+    assert is_3pt(minimize(gen_tight_depth_dfa(2, 5))) is None
+    assert is_3pt(min_dfa(gen_ak(2)), budget=10**5) is True
+    assert asked == [15, 10]
+
+
+def test_is_3pt_cap_keeps_every_verdict():
+    # At budgets on both sides of 2^5, 3^5, 15^5 and 16^5, is_3pt says what
+    # check_identity says on the whole monoid, or None where it refuses it.
+    rng = random.Random(37)
+    cases = [random_min_dfa(rng, max_states=4) for _ in range(60)]
+    cases += [min_dfa(gen_ak(2)), min_dfa(gen_ak(3))]
+    cases += [min_dfa(gen_tight_depth_dfa(3, 3)), min_dfa(gen_tight_depth_dfa(4, 2))]
+    budgets = [b + d for b in (2**5, 3**5, 15**5, 16**5) for d in (-1, 0)]
+    sizes = set()
+    for a in cases:
+        whole = transition_monoid(a)
+        sizes.add(len(whole.elements))
+        for budget in budgets:
+            try:
+                expected = check_identity(whole, IDENTITIES[3], budget) is None
+            except BudgetExceededError:
+                expected = None
+            assert is_3pt(a, budget) is expected, (a, budget)
+    # Monoids of 2, 3 and 16 elements sit on a boundary, so their answer
+    # turns from None to a verdict between its two budgets.
+    assert {1, 2, 3, 8, 16, 65, 144} <= sizes
 
 
 def test_is_kpt_asks_is_3pt_only_of_pt_languages(monkeypatch):
