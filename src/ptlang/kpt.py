@@ -265,21 +265,20 @@ def min_k(
 ) -> Union[int, tuple[int, int], None]:
     """The minimal k for which the language is k-PT.
 
-    Returns the exact k, or the interval (lo, hi) when a budget ran out at
-    lo (hi is the depth of the minimal DFA, a guaranteed upper bound), or
-    None when the language is not piecewise testable at all.
+    Asks `is_kpt` at k = 0, 1, 2, ... and returns the first k it says "yes"
+    to.  The walk ends by k = max(3, depth of the minimal DFA), where
+    `is_kpt` says "yes" with no search.  Returns the interval (lo, hi) when
+    the budget ran out at lo, with hi the depth of the minimal DFA, a
+    guaranteed upper bound; or None when the language is not piecewise
+    testable at all.
     """
     m = minimize(determinize(a))
     if not is_pt_min_dfa(m):
         return None
-    hi = depth(m)
-    for k in range(hi + 1):
-        answer = is_kpt(m, k, budget)
-        if answer.verdict == "yes":
-            return k
-        if answer.verdict == "unknown":
-            return (k, hi)
-    return hi
+    k = 0
+    while (verdict := is_kpt(m, k, budget).verdict) == "no":
+        k += 1
+    return k if verdict == "yes" else (k, depth(m))
 
 
 def decompose(

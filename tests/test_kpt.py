@@ -27,6 +27,7 @@ from ptlang import (
     determinize,
     eval_piece_expression,
     gen_ak,
+    gen_intersection_nfa,
     gen_tight_depth_dfa,
     gen_wk,
     is_0pt,
@@ -94,6 +95,16 @@ def test_is_2pt_examples():
     # Over one letter only the empty b tells a^3 apart: s1.a = s2, s1.aa = s3.
     assert not is_2pt(dfa_piece(("a", "a", "a"), ("a",)))
     assert not is_2pt(min_dfa(dfa_parity()))
+
+
+def test_is_2pt_reads_only_reachable_states():
+    # The chain u0 -a-> u1 -a-> u2 -a-> u3 breaks s.a = s.aa at u1, but no
+    # word reaches it: the language is a*, 2-PT as its one-state minimization.
+    states = ["q0", "u0", "u1", "u2", "u3"]
+    transitions = [("q0", "a", "q0"), ("u0", "a", "u1"), ("u1", "a", "u2"), ("u2", "a", "u3"), ("u3", "a", "u3")]
+    a = make_automaton(states, ["a"], transitions, ["q0"], ["q0"])
+    assert is_2pt(a)
+    assert is_2pt(min_dfa(a))
 
 
 def test_is_3pt_examples():
@@ -375,12 +386,31 @@ def test_min_k_examples():
 
 def test_min_k_interval_on_budget():
     # the k = 0..2 deciders say "no" without touching the budget; at k = 3
-    # the identity check runs out of assignments, the oracle runs out of
-    # classes, and the scan stops with an interval
+    # is_3pt gives up before it checks an identity: the monoid of A_3's
+    # minimal DFA has 16 elements, one more than the cap of 15 that its own
+    # default budget sets; the oracle runs out of its 5 classes, and the walk
+    # stops with an interval
     m = gen_ak(3)
     lo, hi = min_k(m, budget=5)
     assert lo <= 4 <= hi
+    assert (lo, hi) == (3, 15)
     assert hi == depth(min_dfa(m))
+
+
+def test_min_k_computes_depth_only_for_an_interval(monkeypatch):
+    # An exact answer needs no depth of its own: is_kpt says "yes" or "no"
+    # at each k below it, and the walk stops at the first "yes".
+    calls = []
+    monkeypatch.setattr(kpt, "depth", lambda a: calls.append(a) or depth(a))
+    cases = [
+        (gen_intersection_nfa(("a", "b", "c")), 1),
+        (gen_ak(1), 2),
+        (gen_tight_depth_dfa(2, 3), 2),
+        (gen_ak(2), 3),  # is_3pt decides k = 3
+    ]
+    for a, expected in cases:
+        assert min_k(a) == expected
+    assert calls == []
 
 
 def test_depth_within_the_tight_bound_at_min_k():
