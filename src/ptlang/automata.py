@@ -46,7 +46,7 @@ class CyclicAutomatonError(ContractError):
 class BudgetExceededError(RuntimeError):
     """An explicit size budget was exhausted before the computation finished."""
 
-    def __init__(self, budget: int, reached: int, what: str = "items"):
+    def __init__(self, budget: int, reached: int, what: str):
         super().__init__(f"budget of {budget} {what} exceeded (reached {reached})")
         self.budget = budget
         self.reached = reached
@@ -419,7 +419,6 @@ class TransitionMonoid:
     """
 
     elements: frozenset[StateMap]
-    generators: Mapping[str, StateMap]
     identity: StateMap
 
     @staticmethod
@@ -432,20 +431,20 @@ def transition_monoid(
     a: Automaton, budget: int = DEFAULT_MONOID_BUDGET
 ) -> TransitionMonoid:
     """Generate the transition monoid of a deterministic complete automaton."""
-    generators = dict(zip(a.alphabet, map(tuple, dfa_columns(a))))
+    generators = list(map(tuple, dfa_columns(a)))
     identity = tuple(range(len(a.names)))
     elements = {identity}
     queue = deque([identity])
     while queue:
         m = queue.popleft()
-        for g in generators.values():
+        for g in generators:
             composed = TransitionMonoid.compose(m, g)
             if composed not in elements:
                 if len(elements) >= budget:
                     raise BudgetExceededError(budget, len(elements) + 1, "monoid elements")
                 elements.add(composed)
                 queue.append(composed)
-    return TransitionMonoid(frozenset(elements), generators, identity)
+    return TransitionMonoid(frozenset(elements), identity)
 
 
 def check_identity(

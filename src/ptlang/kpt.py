@@ -2,15 +2,16 @@
 
 The specialized deciders for k = 0..2 run directly on the minimal DFA's
 successor table; `is_3pt` checks three identities on its transition monoid,
-which it generates only as far as the identities' budget admits.  The
-generic oracle pairs ~_k classes with the states they reach and answers
-"no" with a two-word certificate as soon as one class reaches two distinct
-states.  It reads the class search (subwords.ClassSearch) a chunk of
-classes at a time: the DFA successors of a chunk's edges come from one pass
-over the DFA rows, each class keeps its state and first edge in plain lists
-indexed by class number, and one list comparison checks the chunk's edges
-against the states their classes already hold.  The certificate is the
-first edge, in breadth-first order, that disagrees.
+which it generates only up to the MAX_3PT_MONOID = 15 elements that the
+identities admit at the default budget.  The generic oracle pairs ~_k
+classes with the states they reach and answers "no" with a two-word
+certificate as soon as one class reaches two distinct states.  It reads
+the class search (subwords.ClassSearch) a chunk of classes at a time: the
+DFA successors of a chunk's edges come from one pass over the DFA rows,
+each class keeps its state and first edge in plain lists indexed by class
+number, and one list comparison checks the chunk's edges against the
+states their classes already hold.  The certificate is the first edge, in
+breadth-first order, that disagrees.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from itertools import chain, combinations
 from typing import Optional, Union
 
 from ptlang.automata import (
-    DEFAULT_MONOID_BUDGET,
     Automaton,
     BudgetExceededError,
     ContractError,
@@ -53,6 +53,11 @@ IDENTITIES = {
     2: (("xyxy", "yxyx"), ("xyzx", "xyxzx")),
     3: (("xyxyxy", "yxyxyx"), ("xzyxvxwy", "xzxyxvxwy"), ("ywxvxyzx", "ywxvxyxzx")),
 }
+
+# The largest monoid `is_3pt` checks.  Identities 2 and 3 of IDENTITIES[3]
+# have 5 variables, and 15^5 <= DEFAULT_MONOID_BUDGET = 10^6 < 16^5, so
+# `check_identity` refuses any larger monoid at its default budget.
+MAX_3PT_MONOID = 15
 
 
 @dataclass(frozen=True)
@@ -126,24 +131,16 @@ def is_2pt(a: Automaton) -> bool:
     return True
 
 
-def is_3pt(a: Automaton, budget: int = DEFAULT_MONOID_BUDGET) -> Optional[bool]:
+def is_3pt(a: Automaton) -> Optional[bool]:
     """3-PT via the three defining identities of the transition monoid.
 
-    The budget bounds, as in `check_identity`, each identity's table and
-    assignments.  Two identities have 5 variables, so `check_identity`
-    refuses a monoid of s elements when s^5 exceeds the budget; the monoid
-    is therefore generated only up to the largest such s that fits (15 at
-    the default 10^6).  Returns None, before any composition table is
+    The monoid is generated up to MAX_3PT_MONOID elements and checked at
+    the default budget.  Returns None, before any composition table is
     built, when the monoid outgrows that; callers fall back to the generic
     oracle.
     """
-    # The largest cap with cap^5 <= budget, found one bit at a time.
-    cap = 0
-    for bit in reversed(range(max(budget, 0).bit_length() // 5 + 1)):
-        if (cap | 1 << bit) ** 5 <= budget:
-            cap |= 1 << bit
     try:
-        return check_identity(transition_monoid(a, cap), IDENTITIES[3], budget) is None
+        return check_identity(transition_monoid(a, MAX_3PT_MONOID), IDENTITIES[3]) is None
     except BudgetExceededError:
         return None
 

@@ -361,7 +361,8 @@ def test_transition_monoid_of_piece_dfa():
     la = dfa_piece(("a",), ("a",))
     m = transition_monoid(la)
     assert len(m.elements) == 2
-    gen = m.generators["a"]
+    (gen,) = map(tuple, dfa_columns(la))
+    assert gen in m.elements
     assert TransitionMonoid.compose(gen, gen) == gen
 
 

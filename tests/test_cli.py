@@ -312,6 +312,24 @@ def test_cli_gen_refuses_words_beyond_the_length_cap(argv, capsys):
     assert "letters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "wk", "-1"], "k must be non-negative"),
+        (["gen", "wkn", "0", "2"], "k and n must be positive"),
+        (["gen", "wkn", "2", "0"], "k and n must be positive"),
+        (["is-kpt", "--k", "-1", "FILE"], "k must be non-negative"),
+        (["witness", "--k", "-1", "FILE"], "k must be non-negative"),
+        (["canonical", "--k", "-1", "--letters", "2"], "k must be non-negative"),
+        (["canonical", "--k", "2", "--letters", "0"], "alphabet must be nonempty"),
+    ],
+)
+def test_cli_refuses_out_of_range_arguments(argv, message, ab_piece_file, capsys):
+    argv = [ab_piece_file if arg == "FILE" else arg for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_is_kpt_at_huge_k(tmp_path, capsys):
     path = tmp_path / "a2.aut"
     path.write_text(serialize_automaton(gen_ak(2)))

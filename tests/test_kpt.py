@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import chain
 
 import pytest
 from conftest import (
@@ -44,8 +45,9 @@ from ptlang import (
     verify_certificate,
     verify_pair,
 )
+from ptlang.automata import DEFAULT_MONOID_BUDGET
 from ptlang.cli import serialize_automaton
-from ptlang.kpt import IDENTITIES, OracleAnswer
+from ptlang.kpt import IDENTITIES, MAX_3PT_MONOID, OracleAnswer
 from ptlang.subwords import EPSILON_CLASS
 
 
@@ -110,14 +112,22 @@ def test_is_2pt_reads_only_reachable_states():
 def test_is_3pt_examples():
     assert is_3pt(dfa_piece(("a", "b", "a"), ("a", "b"))) is True
     assert is_3pt(min_dfa(gen_ak(2))) is True
-    assert is_3pt(min_dfa(gen_ak(3)), budget=2 * 10**6) is False
     assert is_3pt(min_dfa(dfa_parity())) is False
+    # a^4 a*: PT but not 3-PT, and its 5-element monoid fits the cap
+    a4 = dfa_piece(("a",) * 4, ("a",))
+    assert len(a4.names) == len(transition_monoid(a4).elements) == 5
+    assert is_3pt(a4) is False
+    assert min_k(a4) == 4
+    # A_3's 16-element monoid is over the cap, but at a budget of 16^5 or
+    # more the identities find that it is not 3-PT.
+    whole = transition_monoid(min_dfa(gen_ak(3)))
+    assert len(whole.elements) == 16
+    assert check_identity(whole, IDENTITIES[3], 2 * 10**6) is not None
 
 
 def test_is_3pt_budget_returns_unknown(monkeypatch):
     # 16 monoid elements and 5 variables exceed the default budget
     assert is_3pt(min_dfa(gen_ak(3))) is None
-    assert is_3pt(min_dfa(gen_ak(2)), budget=2) is None
     # The minimal tight (3,3) and (4,2) DFAs have 144 and 65 monoid
     # elements: identity 1 fits the default budget, the 5-variable ones do
     # not, so is_3pt gives up before it composes two elements and is_kpt
@@ -139,40 +149,38 @@ def test_is_3pt_budget_returns_unknown(monkeypatch):
             assert verify_certificate(m, answer.certificate)
 
 
+def test_max_3pt_monoid_is_the_largest_the_default_budget_admits():
+    # Identities 2 and 3 of IDENTITIES[3] have 5 variables.
+    assert MAX_3PT_MONOID**5 <= DEFAULT_MONOID_BUDGET < (MAX_3PT_MONOID + 1) ** 5
+
+
 def test_is_3pt_asks_only_for_a_monoid_its_identities_admit(monkeypatch):
-    # check_identity refuses a monoid of s elements when s^5 exceeds the
-    # budget, so is_3pt asks for at most the largest s with s^5 <= budget:
-    # 15 at the default 10^6, 10 at 10^5.  The minimal tight (2,5) DFA's
-    # monoid is given up at its 16th element.
+    # The minimal tight (2,5) DFA's monoid is given up at its 16th element.
     asked = []
     build = kpt.transition_monoid
     monkeypatch.setattr(kpt, "transition_monoid", lambda a, budget: asked.append(budget) or build(a, budget))
     assert is_3pt(minimize(gen_tight_depth_dfa(2, 5))) is None
-    assert is_3pt(min_dfa(gen_ak(2)), budget=10**5) is True
-    assert asked == [15, 10]
+    assert asked == [15]
 
 
 def test_is_3pt_cap_keeps_every_verdict():
-    # At budgets on both sides of 2^5, 3^5, 15^5 and 16^5, is_3pt says what
-    # check_identity says on the whole monoid, or None where it refuses it.
-    rng = random.Random(37)
-    cases = [random_min_dfa(rng, max_states=4) for _ in range(60)]
-    cases += [min_dfa(gen_ak(2)), min_dfa(gen_ak(3))]
+    # is_3pt says what check_identity says on the whole monoid when it has
+    # at most 15 elements, and None otherwise.  The random draws reach
+    # monoids of 14, 15 and 16 elements, on both sides of the cap.
+    rng = random.Random(1)
+    cases = [min_dfa(gen_ak(2)), min_dfa(gen_ak(3))]
     cases += [min_dfa(gen_tight_depth_dfa(3, 3)), min_dfa(gen_tight_depth_dfa(4, 2))]
-    budgets = [b + d for b in (2**5, 3**5, 15**5, 16**5) for d in (-1, 0)]
+    draws = (random_min_dfa(rng, max_states=6) for _ in range(3000))
     sizes = set()
-    for a in cases:
+    for a in chain(cases, draws):
         whole = transition_monoid(a)
-        sizes.add(len(whole.elements))
-        for budget in budgets:
-            try:
-                expected = check_identity(whole, IDENTITIES[3], budget) is None
-            except BudgetExceededError:
-                expected = None
-            assert is_3pt(a, budget) is expected, (a, budget)
-    # Monoids of 2, 3 and 16 elements sit on a boundary, so their answer
-    # turns from None to a verdict between its two budgets.
-    assert {1, 2, 3, 8, 16, 65, 144} <= sizes
+        size = len(whole.elements)
+        sizes.add(size)
+        expected = check_identity(whole, IDENTITIES[3]) is None if size <= MAX_3PT_MONOID else None
+        assert is_3pt(a) is expected, a
+        if {14, 15, 16} <= sizes:
+            break
+    assert {1, 14, 15, 16, 65, 144} <= sizes
 
 
 def test_is_kpt_asks_is_3pt_only_of_pt_languages(monkeypatch):
@@ -387,9 +395,9 @@ def test_min_k_examples():
 def test_min_k_interval_on_budget():
     # the k = 0..2 deciders say "no" without touching the budget; at k = 3
     # is_3pt gives up before it checks an identity: the monoid of A_3's
-    # minimal DFA has 16 elements, one more than the cap of 15 that its own
-    # default budget sets; the oracle runs out of its 5 classes, and the walk
-    # stops with an interval
+    # minimal DFA has 16 elements, one more than its cap MAX_3PT_MONOID = 15;
+    # the oracle runs out of its 5 classes, and the walk stops with an
+    # interval
     m = gen_ak(3)
     lo, hi = min_k(m, budget=5)
     assert lo <= 4 <= hi
