@@ -6,6 +6,11 @@ per line as `src letter dst`.  `#` starts a comment, blank lines are
 ignored.  Canonical serialization sorts states and transitions, so a parsed
 file re-serializes bit-identically.
 
+Every command that reads an automaton for a k-PT question minimizes it
+first.  `witness` takes its verdict from `is_kpt`, as `is-kpt` does, and
+runs the class-search oracle only for the certificate of a "no" that
+`is_kpt` gave without one.
+
 Exit codes: 0 = yes/success, 1 = no, 2 = input or contract error,
 3 = unknown (a budget or memory ran out), 4 = internal error (a crash).
 """
@@ -227,7 +232,10 @@ def cmd_min_k(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    answer = is_kpt_oracle(_min_dfa(load_automaton(args.file)), args.k, args.budget)
+    m = _min_dfa(load_automaton(args.file))
+    answer = is_kpt(m, args.k, args.budget)
+    if answer.verdict == "no" and answer.certificate is None:
+        answer = is_kpt_oracle(m, args.k, args.budget)
     if answer.verdict == "no":
         c = answer.certificate
         _emit(

@@ -12,6 +12,11 @@ each class keeps its state and first edge in plain lists indexed by class
 number, and one list comparison checks the chunk's edges against the
 states their classes already hold.  The certificate is the first edge, in
 breadth-first order, that disagrees.
+
+`is_kpt` is the one decision path: it tries the deciders and the depth
+bound before it runs the oracle, whose answer it then returns as is.  A
+caller that needs a certificate for a "no" that `is_kpt` gave without one
+asks the oracle for it.
 """
 
 from __future__ import annotations
@@ -238,8 +243,10 @@ def is_kpt(a: Automaton, k: int, budget: int = DEFAULT_CLASS_BUDGET) -> OracleAn
 
 
 def verify_pair(a: Automaton, k: int, w1: Word, w2: Word) -> bool:
-    """True iff (w1, w2) witnesses non-k-PT: k-equivalent words reaching two
-    distinct states of the DFA."""
+    """True iff (w1, w2) witnesses non-k-PT of the minimal DFA `a`:
+    k-equivalent words reaching two distinct states of it.  On a DFA that
+    is not minimal, two distinct states may accept the same words, and
+    such a pair witnesses nothing."""
     for w in (w1, w2):
         for letter in w:
             if letter not in a.alphabet:

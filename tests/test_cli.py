@@ -6,9 +6,19 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import all_words, languages_agree, random_nfa
+from conftest import all_words, languages_agree, random_min_dfa, random_nfa
 
-from ptlang import InputError, cli, gen_ak, gen_wk, make_automaton, pkn
+from ptlang import (
+    InputError,
+    cli,
+    determinize,
+    gen_ak,
+    gen_wk,
+    is_kpt_oracle,
+    make_automaton,
+    minimize,
+    pkn,
+)
 from ptlang.cli import (
     load_automaton,
     main,
@@ -199,7 +209,7 @@ def test_cli_min_k_interval(tmp_path, capsys):
     assert out.startswith("interval 3 ")
 
 
-def test_cli_witness_and_verify(ab_piece_file, capsys):
+def test_cli_witness_and_verify(ab_piece_file, tmp_path, capsys):
     assert main(["witness", "--k", "1", ab_piece_file]) == 0
     out = dict(
         line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
@@ -219,9 +229,50 @@ def test_cli_witness_and_verify(ab_piece_file, capsys):
     # a letter outside the alphabet is an input error
     assert main(["verify", "--k", "1", "--w1", "z", "--w2", "a", ab_piece_file]) == 2
     assert capsys.readouterr().err == "error: unknown letter 'z' in witness word\n"
-    # the oracle runs out of classes at k = 3
-    assert main(["witness", "--k", "3", "--budget", "5", ab_piece_file]) == 3
+    # On A_3's minimal DFA, is_3pt gives up at 16 monoid elements and the
+    # depth is 15 > 3, so the oracle runs out of classes at k = 3.
+    a3 = tmp_path / "a3.aut"
+    a3.write_text(serialize_automaton(gen_ak(3)))
+    assert main(["witness", "--k", "3", "--budget", "5", str(a3)]) == 3
     assert capsys.readouterr().out == "unknown\n"
+
+
+def test_cli_witness_asks_is_kpt_first(ab_piece_file, tmp_path, capsys):
+    # Sigma* over 10 letters is 0-PT: the depth rung says so before a class
+    # search that would run out of its budget of 20,000 classes at k = 6.
+    letters = [f"a{i}" for i in range(10)]
+    path = tmp_path / "all.aut"
+    path.write_text(serialize_automaton(make_automaton(["q"], letters, [("q", x, "q") for x in letters], ["q"], ["q"])))
+    assert main(["witness", "--k", "6", "--budget", "20000", str(path)]) == 1
+    assert capsys.readouterr().out == "none (language is k-pt)\n"
+    # is_3pt says yes on the a.b piece with no class search at all
+    assert main(["witness", "--k", "3", "--budget", "5", ab_piece_file]) == 1
+    assert capsys.readouterr().out == "none (language is k-pt)\n"
+
+
+def test_cli_witness_matches_the_oracle_where_it_answers(tmp_path, capsys):
+    # A_3 at k = 3 takes is_kpt's own oracle rung; the other "no"s come
+    # from a rung with no certificate.  About two draws in three minimize
+    # to one state and add nothing, so only the others are kept.
+    rng = random.Random(27)
+    letters = ("a", "b", "c")
+    cases = [minimize(determinize(gen_ak(k))) for k in range(4)]
+    draws = (random_min_dfa(rng, max_states=6, letters=letters[: rng.randint(1, 3)]) for _ in range(1000))
+    cases += [m for m in draws if len(m.names) > 1][:100]
+    path = tmp_path / "m.aut"
+    for m in cases:
+        path.write_text(serialize_automaton(m))
+        for k in range(4):
+            answer = is_kpt_oracle(m, k, 200_000)
+            if answer.verdict == "unknown":
+                continue
+            if answer.verdict == "yes":
+                expected, code = {"witness": "none (language is k-pt)"}, 1
+            else:
+                c = answer.certificate
+                expected, code = {"k": c.k, "w1": word_to_str(c.w1), "w2": word_to_str(c.w2)}, 0
+            assert main(["--json", "witness", "--k", str(k), "--budget", "200000", str(path)]) == code
+            assert capsys.readouterr().out == json.dumps(expected) + "\n"
 
 
 def test_cli_verify_wk_pair_beyond_sub_k_sets(tmp_path, capsys):
