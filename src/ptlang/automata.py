@@ -12,7 +12,9 @@ splits each state's transitions into moves to other states and self-loop
 letters, and Kahn's algorithm orders the states or raises
 CyclicAutomatonError, a ContractError, on a cycle through distinct states.
 `depth` folds over that order, and the UMS check of `pt` reads the same
-split.
+split.  `determinize` keys each subset by the sorted tuple of its member
+indices, the form of a row's cells, and unites the successors of a larger
+subset as bit sets, one letter-wise OR per member.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import or_
 from typing import Iterable, Mapping, Optional, Sequence
 
 Word = tuple[str, ...]
@@ -250,30 +253,66 @@ def dfa_columns(a: Automaton) -> list[list[int]]:
 def determinize(a: Automaton) -> Automaton:
     """Subset construction: a deterministic complete language-equivalent DFA.
 
-    States are the reachable subsets, canonically named by their sorted member
-    lists; the empty subset acts as the sink when it is reachable.  Should two
-    subsets print alike, backslashes, commas and braces in members are escaped.
+    States are the reachable subsets, numbered breadth-first with letters in
+    alphabet order and canonically named by their sorted member lists; the
+    empty subset acts as the sink when it is reachable.  Should two subsets
+    print alike, backslashes, commas and braces in members are escaped.
+
+    A subset is keyed by the ascending tuple of its member indices, the form
+    of a row's cells, so a one-member subset's successors are the cells of
+    its own row.  A larger subset's successors are one letter-wise OR per
+    member over bit sets, each state's built once, on its first use in such
+    a subset.  A second dict maps each union to its subset, so a union is
+    decoded into members only the first time it is seen.  No set is built
+    per (subset, letter).
     """
-    start = a.starts
-    index: dict[frozenset[int], int] = {start: 0}
+    rows = a.rows
+    start = tuple(sorted(a.starts))
+    index = {start: 0}
+    by_bits: dict[int, int] = {}
     subsets = [start]
+    # bits[q][j]: the successors of state q under the j-th letter, as a bit set.
+    bits: list[Optional[list[int]]] = [None] * len(rows)
     successors: list[int] = []
-    letters = range(len(a.alphabet))
+    append = successors.append
     for current in subsets:
-        rows = [a.rows[q] for q in current]
-        for j in letters:
-            nxt = frozenset(itertools.chain.from_iterable(row[j] for row in rows))
-            if nxt not in index:
-                index[nxt] = len(subsets)
-                subsets.append(nxt)
-            successors.append(index[nxt])
+        if len(current) == 1:
+            for cell in rows[current[0]]:
+                i = index.get(cell)
+                if i is None:
+                    i = index[cell] = len(subsets)
+                    subsets.append(cell)
+                append(i)
+            continue
+        unions: Iterable[int] = [0] * len(a.alphabet)
+        for q in current:
+            if bits[q] is None:
+                bits[q] = [sum(1 << r for r in cell) for cell in rows[q]]
+            unions = map(or_, unions, bits[q])
+        for u in unions:
+            i = by_bits.get(u)
+            if i is None:
+                # The set bits of u, lowest first.
+                found = []
+                rest = u
+                while rest:
+                    low = rest & -rest
+                    found.append(low.bit_length() - 1)
+                    rest ^= low
+                cell = tuple(found)
+                i = index.get(cell)
+                if i is None:
+                    i = index[cell] = len(subsets)
+                    subsets.append(cell)
+                by_bits[u] = i
+            append(i)
     # Indices sort like the names they stand for.
-    members = [[a.names[q] for q in sorted(s)] for s in subsets]
+    members = [[a.names[q] for q in s] for s in subsets]
     names = ["{" + ",".join(m) + "}" for m in members]
     if len(set(names)) < len(names):
         escape = str.maketrans({c: "\\" + c for c in "\\,{}"})
         names = ["{" + ",".join(q.translate(escape) for q in m) + "}" for m in members]
-    accepting = [i for i, s in enumerate(subsets) if s & a.finals]
+    accepting = [i for i, s in enumerate(subsets) if not a.finals.isdisjoint(s)]
     return dfa_from_successors(names, a.alphabet, successors, 0, accepting)
 
 

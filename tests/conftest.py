@@ -13,6 +13,33 @@ from ptlang.automata import dfa_from_successors, dfa_rows, require_complete_dfa
 from ptlang.subwords import DEFAULT_CLASS_BUDGET, EPSILON_CLASS
 
 
+def reference_determinize(a: Automaton) -> Automaton:
+    """The subset construction with one frozenset per (subset, letter), as
+    `determinize` once ran it: the reference its bit-set unions must match
+    name for name and row for row."""
+    start = a.starts
+    index: dict[frozenset[int], int] = {start: 0}
+    subsets = [start]
+    successors: list[int] = []
+    letters = range(len(a.alphabet))
+    for current in subsets:
+        rows = [a.rows[q] for q in current]
+        for j in letters:
+            nxt = frozenset(itertools.chain.from_iterable(row[j] for row in rows))
+            if nxt not in index:
+                index[nxt] = len(subsets)
+                subsets.append(nxt)
+            successors.append(index[nxt])
+    # Indices sort like the names they stand for.
+    members = [[a.names[q] for q in sorted(s)] for s in subsets]
+    names = ["{" + ",".join(m) + "}" for m in members]
+    if len(set(names)) < len(names):
+        escape = str.maketrans({c: "\\" + c for c in "\\,{}"})
+        names = ["{" + ",".join(q.translate(escape) for q in m) + "}" for m in members]
+    accepting = [i for i, s in enumerate(subsets) if s & a.finals]
+    return dfa_from_successors(names, a.alphabet, successors, 0, accepting)
+
+
 def reference_minimize(a: Automaton) -> Automaton:
     """Moore refinement one state at a time over the full state range, as
     `minimize` once ran it: the reference its columns must match."""

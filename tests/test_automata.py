@@ -18,6 +18,7 @@ from conftest import (
     random_po_complete_nfa,
     random_word,
     reference_depth,
+    reference_determinize,
     reference_minimize,
 )
 
@@ -469,11 +470,31 @@ def _collision(s, a, b, ab):
     )
 
 
+def assert_same_subset_dfa(a):
+    d, ref = determinize(a), reference_determinize(a)
+    assert (d.names, d.rows, d.starts, d.finals) == (ref.names, ref.rows, ref.starts, ref.finals)
+
+
+def test_determinize_matches_the_reference_construction():
+    rng = random.Random(41)
+    cases = [random_nfa(rng, letters=("a", "b", "c")[: rng.randint(1, 3)]) for _ in range(300)]
+    cases += [_collision("s", "a", "b", "a,b"), _collision("{s}", "{a}", "{b}", "{a},{b}")]
+    # No initial state: the empty subset is the start and the sink.
+    cases.append(make_automaton(["p", "q"], ("a",), [("p", "a", "q")], [], ["q"]))
+    # No letters: the start subset is the only state.
+    cases.append(make_automaton(["p", "q"], (), [], ["p", "q"], ["q"]))
+    cases += [gen_ak(k) for k in range(9)]
+    cases += [gen_intersection_nfa(tuple(f"a{i}" for i in range(n))) for n in range(1, 9)]
+    for a in cases:
+        assert_same_subset_dfa(a)
+
+
 @example(_collision("s", "a", "b", "a,b"))
 @example(_collision("{s}", "{a}", "{b}", "{a},{b}"))
 @settings(max_examples=60)
 @given(nfas_with_separator_names())
 def test_determinize_with_separator_state_names(a):
+    assert_same_subset_dfa(a)
     d = determinize(a)
     assert d.deterministic and d.complete
     subsets: dict[str, set] = {}

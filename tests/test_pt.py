@@ -16,6 +16,7 @@ from conftest import (
 
 from ptlang import (
     ContractError,
+    CyclicAutomatonError,
     complete_with_sink,
     depth,
     determinize,
@@ -31,6 +32,7 @@ from ptlang import (
     verify_pair,
 )
 from ptlang import pt
+from ptlang.automata import partial_order
 from ptlang.cli import parse_automaton
 from ptlang.pt import find_ums_violation
 
@@ -288,7 +290,9 @@ def test_pt_implies_kpt_at_depth():
 # An NFA that is not PT: its minimal DFA has the cycle {q2,q4} b {q3,q4} a
 # {q4,q5} a {q2,q4}.  A cycle check that keeps one subset per minimal state,
 # the first one found, misses it: the state of {q2,q4} is first reached at
-# the equivalent subset {q2}, which is not on the cycle.
+# the equivalent subset {q2}, which is not on the cycle.  It is the NFA
+# `nfa8` of the benchmark's `nfa-pt` workload at seed 72, whose reference
+# check `jt_counterexample` makes that mistake and flags the correct "not PT".
 CYCLIC_NFA = """\
 alphabet: a b
 states: q0 q1 q2 q3 q4 q5
@@ -310,6 +314,10 @@ def test_cycle_through_non_representative_states_is_not_pt():
     assert not is_pt(a)
     assert min_k(a) is None
     m = minimize(determinize(a))
+    assert len(m.names) == 5
+    with pytest.raises(CyclicAutomatonError):
+        partial_order(m)
+    assert has_cycle_dfs(m)
     for k in range(1, 5):
         w = ("b", "b") + ("a", "a", "b") * k + ("a",)
         assert verify_pair(m, k, w, w + ("a",))
