@@ -12,13 +12,17 @@ runs the class-search oracle only for the certificate of a "no" that
 `is_kpt` gave without one.
 
 Exit codes: 0 = yes/success, 1 = no, 2 = input or contract error,
-3 = unknown (a budget or memory ran out), 4 = internal error (a crash).
+3 = unknown (a budget or memory ran out), 4 = internal error (a crash),
+141 = the reader closed stdout (128 + SIGPIPE; no verdict uses it).  An
+error message that cannot be written leaves the same code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from typing import Optional
 
@@ -62,6 +66,7 @@ EXIT_NO = 1
 EXIT_ERROR = 2
 EXIT_UNKNOWN = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout
 
 _HEADERS = ("alphabet", "states", "initial", "accepting")
 
@@ -387,20 +392,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flush(stream) -> bool:
+    """Flushes `stream`.  When its reader is gone, points it at /dev/null,
+    so that the interpreter's final flush cannot fail either, and returns
+    False."""
+    try:
+        stream.flush()
+        return True
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        return False
+
+
+def _report(message: str) -> None:
+    # A message that cannot be written still leaves its exit code.
+    with contextlib.suppress(OSError):
+        print(message, file=sys.stderr)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = parser.parse_args(argv)
+    except SystemExit:
+        # argparse drops a message it cannot write; its exit code stands.
+        _flush(sys.stdout)
+        _flush(sys.stderr)
+        raise
+    try:
+        code = args.func(args)
+    except BrokenPipeError:
+        code = EXIT_PIPE
     except (BudgetExceededError, MemoryError) as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_UNKNOWN
+        _report(f"error: {str(exc) or 'out of memory'}")
+        code = EXIT_UNKNOWN
     except (InputError, ContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        _report(f"error: {exc}")
+        code = EXIT_ERROR
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        _report(f"internal error: {type(exc).__name__}: {exc}")
+        code = EXIT_INTERNAL
+    _flush(sys.stderr)
+    # A closed stdout ends the run as SIGPIPE would, with nothing said.
+    return code if _flush(sys.stdout) else EXIT_PIPE
 
 
 if __name__ == "__main__":

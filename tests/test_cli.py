@@ -514,3 +514,33 @@ def test_cli_missing_file(capsys):
 def test_cli_budget_exhaustion(capsys):
     assert main(["canonical", "--k", "2", "--letters", "2", "--budget", "3"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_minimizes_before_every_k_pt_question(tmp_path, capsys):
+    # a* as a complete DFA whose two accepting states swap on a.  It is not
+    # minimal, and the k-PT deciders assume a minimal DFA.
+    path = tmp_path / "swap.aut"
+    path.write_text("alphabet: a\nstates: p q\ninitial: p\naccepting: p q\np a q\nq a p\n")
+    for argv, code, out in [
+        (["is-kpt", "--k", "0"], 0, "yes"),
+        (["min-k"], 0, "0"),
+        (["witness", "--k", "0"], 1, "none (language is k-pt)"),
+        (["verify", "--k", "0", "--w1", "-", "--w2", "a"], 1, "invalid"),
+        (["decompose", "--k", "0"], 0, "TRUE"),
+        (["monoid"], 0, "size: 1"),
+    ]:
+        assert main([*argv, str(path)]) == code, argv
+        assert capsys.readouterr().out == out + "\n", argv
+
+
+def test_cli_decompose_orders_clauses_by_access_word(tmp_path, capsys):
+    # Over `alphabet: b a` the search meets the classes in another order
+    # than by the length and letter names of their access words.
+    path = tmp_path / "ab_piece_ba.aut"
+    path.write_text(AB_PIECE.replace("alphabet: a b", "alphabet: b a"))
+    assert main(["decompose", "--k", "2", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "(a.b & !a.a & !b.a & !b.b) | (a.a & a.b & !b.a & !b.b) | (a.a & a.b & b.a & !b.b)"
+        " | (a.b & b.b & !a.a & !b.a) | (a.b & b.a & b.b & !a.a) | (a.a & a.b & b.b & !b.a)"
+        " | (a.a & a.b & b.a & b.b)\n"
+    )
