@@ -392,24 +392,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flush(stream) -> bool:
-    """Flushes `stream`.  When its reader is gone, points it at /dev/null,
-    so that the interpreter's final flush cannot fail either, and returns
-    False."""
+def _flush(stream) -> Optional[OSError]:
+    """Flushes `stream`, which is None when its descriptor was closed at
+    startup.  A stream that cannot be flushed is pointed at /dev/null, so
+    that the interpreter's final flush cannot fail again, and the error is
+    returned."""
     try:
-        stream.flush()
-        return True
-    except OSError:
+        if stream is not None:
+            stream.flush()
+        return None
+    except OSError as exc:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, stream.fileno())
         os.close(devnull)
-        return False
+        return exc
 
 
 def _report(message: str) -> None:
     # A message that cannot be written still leaves its exit code.
-    with contextlib.suppress(OSError):
-        print(message, file=sys.stderr)
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(message, file=sys.stderr)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -434,9 +437,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Exception as exc:
         _report(f"internal error: {type(exc).__name__}: {exc}")
         code = EXIT_INTERNAL
+    error = _flush(sys.stdout)
+    if isinstance(error, BrokenPipeError):
+        # A closed stdout ends the run as SIGPIPE would, with nothing said.
+        code = EXIT_PIPE
+    elif error is not None and code != EXIT_INTERNAL:
+        # Output lost otherwise, to a full disk say, is an internal error.
+        _report(f"internal error: {type(error).__name__}: {error}")
+        code = EXIT_INTERNAL
     _flush(sys.stderr)
-    # A closed stdout ends the run as SIGPIPE would, with nothing said.
-    return code if _flush(sys.stdout) else EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":
