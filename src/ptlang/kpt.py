@@ -1,22 +1,24 @@
 """k-piecewise testability: deciders, certificates and piece decompositions.
 
 The specialized deciders for k = 0..2 run directly on the minimal DFA's
-successor table; `is_3pt` checks three identities on its transition monoid,
-which it generates only up to the MAX_3PT_MONOID = 15 elements that the
-identities admit at the default budget.  The generic oracle pairs ~_k
-classes with the states they reach and answers "no" with a two-word
-certificate as soon as one class reaches two distinct states.  It reads
-the class search (subwords.ClassSearch) a chunk of classes at a time: the
-DFA successors of a chunk's edges come from one pass over the DFA rows,
-each class keeps its state and first edge in plain lists indexed by class
-number, and one list comparison checks the chunk's edges against the
-states their classes already hold.  The certificate is the first edge, in
+successor table; `is_2pt` folds over the partial order that its PT check
+(`pt.pt_partial_order`) returns, with no second pass.  `is_3pt` checks
+three identities on its transition monoid, which it generates only up to
+the MAX_3PT_MONOID = 15 elements that the identities admit at the default
+budget.  The generic oracle pairs ~_k classes with the states they reach
+and answers "no" with a two-word certificate as soon as one class reaches
+two distinct states.  It reads the class search (subwords.ClassSearch) a
+chunk of classes at a time: the DFA successors of a chunk's edges come
+from one pass over the DFA rows, each class keeps its state and first
+edge in plain lists indexed by class number, and one list comparison
+checks the chunk's edges against the states their classes already hold.  The certificate is the first edge, in
 breadth-first order, that disagrees.
 
 `is_kpt` is the one decision path: it tries the deciders and the depth
 bound before it runs the oracle, whose answer it then returns as is.  A
 caller that needs a certificate for a "no" that `is_kpt` gave without one
-asks the oracle for it.
+asks the oracle for it.  `min_k` walks k = 0, 1, 2, ... through `is_kpt`
+and checks PT only once the walk passes k = 1.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from ptlang.automata import (
     require_complete_dfa,
     transition_monoid,
 )
-from ptlang.pt import is_pt_min_dfa
+from ptlang.pt import is_pt_min_dfa, pt_partial_order
 from ptlang.subwords import (
     DEFAULT_CLASS_BUDGET,
     ClassKey,
@@ -121,18 +123,37 @@ def is_1pt(a: Automaton) -> bool:
 def is_2pt(a: Automaton) -> bool:
     """2-PT on the minimal DFA: PT plus s.ba = s.aba for every letter a, every
     state s reachable by a word containing a, and every b in the alphabet or
-    empty."""
+    empty.
+
+    One fold over the partial order that the PT check returns gives, per
+    state q the start reaches, the letters of some word from the start to
+    q, with q's own self-loop letters.  For each such letter x, q.x = t is
+    either q, where both equalities hold, or a move q -x-> t, which must
+    have t.x = t and q.b.x = t.b.x for every letter b.
+    """
     rows = dfa_rows(a)
-    if not is_pt_min_dfa(a):
+    po = pt_partial_order(a)
+    if po is None:
         return False
-    reachable = a.reachable(a.starts)
-    for x in range(len(a.alphabet)):
-        for s in a.reachable({rows[q][x] for q in reachable}):
-            sx = rows[s][x]
-            if rows[sx][x] != sx or any(
-                rows[sb][x] != rows[sxb][x] for sb, sxb in zip(rows[s], rows[sx])
-            ):
-                return False
+    moves, loops, order = po
+    cols = list(zip(*rows))
+    (start,) = a.starts
+    # Bit j of seen[q]: some word from the start to q contains letter j.
+    # The bit above the letters marks the states the start reaches.
+    seen = [0] * len(rows)
+    seen[start] = 1 << len(a.alphabet)
+    for q in order:
+        here = seen[q]
+        if not here:
+            continue
+        for j in loops[q]:
+            here |= 1 << j
+        for x, t in moves[q]:
+            if here >> x & 1:
+                cx = cols[x]
+                if cx[t] != t or list(map(cx.__getitem__, rows[q])) != list(map(cx.__getitem__, rows[t])):
+                    return False
+            seen[t] |= here | 1 << x
     return True
 
 
@@ -270,18 +291,19 @@ def min_k(
     """The minimal k for which the language is k-PT.
 
     Asks `is_kpt` at k = 0, 1, 2, ... and returns the first k it says "yes"
-    to.  The walk ends by k = max(3, depth of the minimal DFA), where
+    to.  A 0- or 1-PT language is PT, so the walk checks PT only once it
+    passes k = 1.  It ends by k = max(3, depth of the minimal DFA), where
     `is_kpt` says "yes" with no search.  Returns the interval (lo, hi) when
     the budget ran out at lo, with hi the depth of the minimal DFA, a
     guaranteed upper bound; or None when the language is not piecewise
     testable at all.
     """
     m = minimize(determinize(a))
-    if not is_pt_min_dfa(m):
-        return None
     k = 0
     while (verdict := is_kpt(m, k, budget).verdict) == "no":
         k += 1
+        if k == 2 and not is_pt_min_dfa(m):
+            return None
     return k if verdict == "yes" else (k, depth(m))
 
 

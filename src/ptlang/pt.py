@@ -16,7 +16,9 @@ window it costs O(moves) big-integer operations on integers of at most
 moves, self-loop letters and order come from `automata.partial_order`, the
 pass `depth` folds over too, which raises CyclicAutomatonError on a cycle
 through distinct states.  An automaton has the UMS property iff
-`find_ums_violation` returns None.
+`find_ums_violation` returns None.  `pt_partial_order` runs that check on
+the one partial order it returns for a PT minimal DFA, so that `kpt.is_2pt`
+folds over the same pass; `is_pt_min_dfa` asks whether it returns one.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Optional
 from ptlang.automata import (
     Automaton,
     CyclicAutomatonError,
+    PartialOrder,
     complete_with_sink,
     determinize,
     minimize,
@@ -48,8 +51,14 @@ def find_ums_violation(a: Automaton) -> Optional[tuple[str, str]]:
     maximal state of its component; otherwise p is the least violating
     state and q the least other maximal state of p's component.
     """
+    return _ums_violation(a, partial_order(a))
+
+
+def _ums_violation(a: Automaton, po: PartialOrder) -> Optional[tuple[str, str]]:
+    """`find_ums_violation` on the partial order `po` of `a`, which it
+    leaves as it is."""
     n = len(a.rows)
-    moves, loops, order = partial_order(a)
+    moves, loops, order = po
     # Per window of UMS_WINDOW states, per letter, the bit set of the
     # window's states that loop on it.
     windows = [[0] * len(a.alphabet) for _ in range(0, n, UMS_WINDOW)]
@@ -57,7 +66,7 @@ def find_ums_violation(a: Automaton) -> Optional[tuple[str, str]]:
         window, bit = windows[q // UMS_WINDOW], 1 << q % UMS_WINDOW
         for j in own:
             window[j] |= bit
-    order.reverse()
+    order = order[::-1]  # successors first, in a copy: `po` stays as it is
     visit = order
     if len(windows) > 1:
         # Bit w of hits[q]: q reaches a state of window w, which a pass over
@@ -116,13 +125,21 @@ def _other_maximal(moves: list[list[tuple[int, int]]], gamma: set[int], p: int) 
     return min(q for q in component if stuck[q] and q != p)
 
 
+def pt_partial_order(a: Automaton) -> Optional[PartialOrder]:
+    """The partial order of a minimal complete DFA whose language is
+    piecewise testable, as `automata.partial_order` gives it; None when
+    the DFA is cyclic or breaks the UMS property."""
+    try:
+        po = partial_order(a)
+    except CyclicAutomatonError:
+        return None
+    return po if _ums_violation(a, po) is None else None
+
+
 def is_pt_min_dfa(a: Automaton) -> bool:
     """Piecewise testability of the language of a minimal complete DFA:
     partially ordered, with the UMS property."""
-    try:
-        return find_ums_violation(a) is None
-    except CyclicAutomatonError:
-        return False
+    return pt_partial_order(a) is not None
 
 
 def certify_pt_nfa(a: Automaton) -> bool:

@@ -8,7 +8,7 @@ import math
 import random
 from collections import deque
 
-from ptlang import Automaton, BudgetExceededError, determinize, make_automaton, minimize
+from ptlang import Automaton, BudgetExceededError, determinize, is_pt_min_dfa, make_automaton, minimize
 from ptlang.automata import dfa_from_successors, dfa_rows, require_complete_dfa
 from ptlang.subwords import DEFAULT_CLASS_BUDGET, EPSILON_CLASS
 
@@ -76,6 +76,26 @@ def reference_is_1pt(a: Automaton) -> bool:
         for row in rows
         for x, px in enumerate(row)
     )
+
+
+def reference_is_2pt(a: Automaton) -> bool:
+    """2-PT of a minimal DFA one letter at a time, as `is_2pt` once checked
+    it: PT, and for every letter x, every state s reached by a word that
+    contains x and every letter b, s.x.x = s.x and s.b.x = s.x.b.x, over
+    one search per letter.  The reference its partial-order fold must
+    match."""
+    rows = dfa_rows(a)
+    if not is_pt_min_dfa(a):
+        return False
+    reachable = a.reachable(a.starts)
+    for x in range(len(a.alphabet)):
+        for s in a.reachable({rows[q][x] for q in reachable}):
+            sx = rows[s][x]
+            if rows[sx][x] != sx or any(
+                rows[sb][x] != rows[sxb][x] for sb, sxb in zip(rows[s], rows[sx])
+            ):
+                return False
+    return True
 
 
 def reference_pkn_stirling(k: int, n: int) -> int:

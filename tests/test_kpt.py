@@ -13,6 +13,7 @@ from conftest import (
     random_min_dfa,
     reference_class_edges,
     reference_is_1pt,
+    reference_is_2pt,
 )
 
 from ptlang import kpt
@@ -99,14 +100,36 @@ def test_is_2pt_examples():
     assert not is_2pt(min_dfa(dfa_parity()))
 
 
-def test_is_2pt_reads_only_reachable_states():
+def unreachable_chain_dfa():
     # The chain u0 -a-> u1 -a-> u2 -a-> u3 breaks s.a = s.aa at u1, but no
     # word reaches it: the language is a*, 2-PT as its one-state minimization.
     states = ["q0", "u0", "u1", "u2", "u3"]
     transitions = [("q0", "a", "q0"), ("u0", "a", "u1"), ("u1", "a", "u2"), ("u2", "a", "u3"), ("u3", "a", "u3")]
-    a = make_automaton(states, ["a"], transitions, ["q0"], ["q0"])
+    return make_automaton(states, ["a"], transitions, ["q0"], ["q0"])
+
+
+def test_is_2pt_reads_only_reachable_states():
+    a = unreachable_chain_dfa()
     assert is_2pt(a)
     assert is_2pt(min_dfa(a))
+
+
+def test_is_2pt_matches_the_row_reference():
+    rng = random.Random(31)
+    cases = []
+    while len(cases) < 400:
+        a = random_min_dfa(rng, max_states=6, letters=("a", "b", "c")[: rng.randint(1, 3)])
+        if len(a.names) > 1:
+            cases.append(a)
+    cases += [min_dfa(gen_intersection_nfa(tuple("abcdefgh"[:n]))) for n in range(1, 9)]
+    cases += [min_dfa(gen_ak(k)) for k in range(9)]
+    cases += [min_dfa(gen_tight_depth_dfa(k, n)) for k, n in ((2, 3), (3, 2), (2, 4), (3, 3))]
+    cases.append(unreachable_chain_dfa())
+    verdicts = [is_2pt(a) for a in cases]
+    assert verdicts == [reference_is_2pt(a) for a in cases]
+    assert 0 < sum(verdicts[:400]) < 400
+    # cap n is 1-PT, A_k is 2-PT only up to k = 1, tight (k, n) is 2-PT at k = 2.
+    assert verdicts[400:] == [True] * 8 + [True, True] + [False] * 7 + [True, False, True, False] + [True]
 
 
 def test_is_3pt_examples():
@@ -419,6 +442,27 @@ def test_min_k_computes_depth_only_for_an_interval(monkeypatch):
     for a, expected in cases:
         assert min_k(a) == expected
     assert calls == []
+
+
+def test_min_k_checks_pt_only_past_k_1(monkeypatch):
+    # A 0- or 1-PT language is PT: the walk asks is_kpt at k = 0 and 1
+    # before its own PT check, and is_2pt's is the only other one.
+    calls = []
+    for name in ("is_pt_min_dfa", "pt_partial_order"):
+        check = getattr(kpt, name)
+        monkeypatch.setattr(kpt, name, lambda a, check=check: calls.append(a) or check(a))
+    sigma_star = make_automaton(["q"], ["a"], [("q", "a", "q")], ["q"], ["q"])
+    cases = [
+        (sigma_star, 0, 0),
+        (gen_intersection_nfa(("a", "b", "c")), 1, 0),
+        (dfa_piece(("a", "b"), ("a", "b")), 2, 2),
+        (dfa_parity(), None, 1),
+        (dfa_ab_star(), None, 1),
+    ]
+    for a, expected, checks in cases:
+        calls.clear()
+        assert min_k(a) == expected
+        assert len(calls) == checks, a
 
 
 def test_depth_within_the_tight_bound_at_min_k():
