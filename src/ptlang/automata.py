@@ -7,14 +7,16 @@ integer form: state i is the i-th of the sorted state names, and each state
 has one sorted tuple of successor indices per letter.  Every algorithm reads
 that form and every construction builds it; the name-keyed `states`,
 `transitions`, `initials` and `accepting` are views computed on first use.
+So is `minimal`, the minimal complete DFA of the language and the one place
+where minimality is established: `minimize` marks its own results.
 `partial_order` is the one test of partial order: one pass over the rows
 splits each state's transitions into moves to other states and self-loop
 letters, and Kahn's algorithm orders the states or raises
 CyclicAutomatonError, a ContractError, on a cycle through distinct states.
-`depth` folds over that order, and the UMS check of `pt` reads the same
-split.  `determinize` keys each subset by the sorted tuple of its member
-indices, the form of a row's cells, and unites the successors of a larger
-subset as bit sets, one letter-wise OR per member.
+`depth` folds over that order (`longest_path`), and the UMS check of `pt`
+reads the same split.  `determinize` keys each subset by the sorted tuple
+of its member indices, the form of a row's cells, and unites the
+successors of a larger subset as bit sets, one letter-wise OR per member.
 """
 
 from __future__ import annotations
@@ -111,6 +113,17 @@ class Automaton:
     @cached_property
     def accepting(self) -> frozenset[str]:
         return frozenset(self.names[q] for q in self.finals)
+
+    @property
+    def minimal(self) -> Automaton:
+        """The minimal complete DFA, built on first use and kept:
+        `minimize(self)`, which keeps state names, for a complete DFA, else
+        `minimize(determinize(self))`.  A result of `minimize` keeps None for
+        itself: a self-reference is a cycle, freed only by the collector."""
+        fields = self.__dict__
+        if "_minimal" not in fields:
+            fields["_minimal"] = minimize(self if self.deterministic and self.complete else determinize(self))
+        return fields["_minimal"] or self
 
     @cached_property
     def deterministic(self) -> bool:
@@ -326,7 +339,7 @@ def minimize(a: Automaton) -> Automaton:
     0..r-1 in name order.  A round that splits no block ends the
     refinement.  Each block of merged states is named after its
     lexicographically smallest member, which keeps names short and the
-    result reproducible.
+    result reproducible.  The result is its own `minimal`.
     """
     cols = dfa_columns(a)
     (start,) = a.starts
@@ -360,7 +373,9 @@ def minimize(a: Automaton) -> Automaton:
     successors = [block[col[i]] for i in least.values() for col in cols]
     accepting = [b for b, i in least.items() if final[i]]
     names = [a.names[reachable[i]] for i in least.values()]
-    return dfa_from_successors(names, a.alphabet, successors, block[start], accepting)
+    m = dfa_from_successors(names, a.alphabet, successors, block[start], accepting)
+    m.__dict__["_minimal"] = None
+    return m
 
 
 def complete_with_sink(a: Automaton) -> Automaton:
@@ -429,14 +444,18 @@ def partial_order(a: Automaton) -> PartialOrder:
 
 
 def depth(a: Automaton) -> int:
-    """Number of transitions on the longest path, self-loops ignored.
+    """Number of transitions on the longest path, self-loops ignored: the
+    `longest_path` of a partially ordered automaton's `partial_order`."""
+    return longest_path(partial_order(a))
 
-    Only defined for partially ordered automata, where the longest simple
-    path is the longest path over the moves of `partial_order`, folded
-    over its order from the last state back: a state's longest path is one
-    move longer than the longest from any target of its moves.
+
+def longest_path(po: PartialOrder) -> int:
+    """The depth of an automaton from its partial order `po`: the longest
+    simple path is the longest path over the moves, folded over the order
+    from the last state back.  A state's longest path is one move longer
+    than the longest from any target of its moves.
     """
-    moves, _, order = partial_order(a)
+    moves, _, order = po
     longest = [0] * len(order)
     for q in reversed(order):
         for _, r in moves[q]:

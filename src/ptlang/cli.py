@@ -6,10 +6,11 @@ per line as `src letter dst`.  `#` starts a comment, blank lines are
 ignored.  Canonical serialization sorts states and transitions, so a parsed
 file re-serializes bit-identically.
 
-Every command that reads an automaton for a k-PT question minimizes it
-first.  `witness` takes its verdict from `is_kpt`, as `is-kpt` does, and
-runs the class-search oracle only for the certificate of a "no" that
-`is_kpt` gave without one.
+Every command that asks a k-PT question passes the automaton it reads as it
+is: the library decides on `Automaton.minimal`, which `monoid` reads too.
+`witness` takes its verdict from `is_kpt`, as `is-kpt` does, and runs the
+class-search oracle only for the certificate of a "no" that `is_kpt` gave
+without one.
 
 Exit codes: 0 = yes/success, 1 = no, 2 = input or contract error,
 3 = unknown (a budget or memory ran out), 4 = internal error (a crash),
@@ -179,10 +180,6 @@ def _emit(args, report: dict, bare: Optional[str] = None) -> None:
             print(f"{key}: {value}")
 
 
-def _min_dfa(a: Automaton) -> Automaton:
-    return minimize(determinize(a))
-
-
 def cmd_info(args) -> int:
     a = load_automaton(args.file)
     try:
@@ -208,7 +205,7 @@ def cmd_determinize(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    _emit(args, {"automaton": serialize_automaton(_min_dfa(load_automaton(args.file)))}, "automaton")
+    _emit(args, {"automaton": serialize_automaton(minimize(determinize(load_automaton(args.file))))}, "automaton")
     return EXIT_YES
 
 
@@ -219,7 +216,7 @@ def cmd_is_pt(args) -> int:
 
 
 def cmd_is_kpt(args) -> int:
-    answer = is_kpt(_min_dfa(load_automaton(args.file)), args.k, args.budget)
+    answer = is_kpt(load_automaton(args.file), args.k, args.budget)
     _emit(args, {"k-pt": answer.verdict}, "k-pt")
     return {"yes": EXIT_YES, "no": EXIT_NO}.get(answer.verdict, EXIT_UNKNOWN)
 
@@ -237,10 +234,10 @@ def cmd_min_k(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    m = _min_dfa(load_automaton(args.file))
-    answer = is_kpt(m, args.k, args.budget)
+    a = load_automaton(args.file)
+    answer = is_kpt(a, args.k, args.budget)
     if answer.verdict == "no" and answer.certificate is None:
-        answer = is_kpt_oracle(m, args.k, args.budget)
+        answer = is_kpt_oracle(a, args.k, args.budget)
     if answer.verdict == "no":
         c = answer.certificate
         _emit(
@@ -256,14 +253,13 @@ def cmd_witness(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    a = _min_dfa(load_automaton(args.file))
-    ok = verify_pair(a, args.k, parse_word(args.w1), parse_word(args.w2))
+    ok = verify_pair(load_automaton(args.file), args.k, parse_word(args.w1), parse_word(args.w2))
     _emit(args, {"certificate": "valid" if ok else "invalid"}, "certificate")
     return EXIT_YES if ok else EXIT_NO
 
 
 def cmd_decompose(args) -> int:
-    expression = decompose(_min_dfa(load_automaton(args.file)), args.k, args.budget)
+    expression = decompose(load_automaton(args.file), args.k, args.budget)
     _emit(args, {"expression": render_piece_expression(expression)}, "expression")
     return EXIT_YES
 
@@ -281,7 +277,7 @@ def cmd_depth(args) -> int:
 
 
 def cmd_monoid(args) -> int:
-    monoid = transition_monoid(_min_dfa(load_automaton(args.file)), args.budget)
+    monoid = transition_monoid(load_automaton(args.file).minimal, args.budget)
     report: dict = {"size": len(monoid.elements)}
     violated = False
     if args.check_identities is not None:

@@ -1,8 +1,9 @@
 """k-piecewise testability: deciders, certificates and piece decompositions.
 
-The specialized deciders for k = 0..2 run directly on the minimal DFA's
-successor table; `is_2pt` folds over the partial order that its PT check
-(`pt.pt_partial_order`) returns, with no second pass.  `is_3pt` checks
+Every entry point decides on `a.minimal`, so it takes any automaton.  The
+deciders for k = 0..2 run on its successor table; `is_2pt`, the depth rung
+and `min_k` fold over the partial order that the PT check
+(`pt.pt_partial_order`) keeps on it, with no second pass.  `is_3pt` checks
 three identities on its transition monoid, which it generates only up to
 the MAX_3PT_MONOID = 15 elements that the identities admit at the default
 budget.  The generic oracle pairs ~_k classes with the states they reach
@@ -34,15 +35,12 @@ from ptlang.automata import (
     InputError,
     Word,
     check_identity,
-    depth,
-    determinize,
     dfa_columns,
     dfa_rows,
-    minimize,
-    require_complete_dfa,
+    longest_path,
     transition_monoid,
 )
-from ptlang.pt import is_pt_min_dfa, pt_partial_order
+from ptlang.pt import pt_partial_order
 from ptlang.subwords import (
     DEFAULT_CLASS_BUDGET,
     ClassKey,
@@ -101,16 +99,15 @@ class OracleAnswer:
 
 
 def is_0pt(a: Automaton) -> bool:
-    """A minimal DFA recognizes a 0-PT language iff it has a single state."""
-    require_complete_dfa(a)
-    return len(a.names) == 1
+    """A language is 0-PT iff its minimal DFA has a single state."""
+    return len(a.minimal.names) == 1
 
 
 def is_1pt(a: Automaton) -> bool:
     """Letter-level characterization of 1-PT on the minimal DFA: every
     letter's map is idempotent (x·x = x), and the maps of any two letters
     commute (x·y = y·x), checked on whole successor columns."""
-    cols = dfa_columns(a)
+    cols = dfa_columns(a.minimal)
     for cx in cols:
         if list(map(cx.__getitem__, cx)) != cx:
             return False
@@ -131,13 +128,14 @@ def is_2pt(a: Automaton) -> bool:
     either q, where both equalities hold, or a move q -x-> t, which must
     have t.x = t and q.b.x = t.b.x for every letter b.
     """
-    rows = dfa_rows(a)
     po = pt_partial_order(a)
     if po is None:
         return False
     moves, loops, order = po
+    m = a.minimal
+    rows = dfa_rows(m)
     cols = list(zip(*rows))
-    (start,) = a.starts
+    (start,) = m.starts
     # Bit j of seen[q]: some word from the start to q contains letter j.
     # The bit above the letters marks the states the start reaches.
     seen = [0] * len(rows)
@@ -166,7 +164,7 @@ def is_3pt(a: Automaton) -> Optional[bool]:
     oracle.
     """
     try:
-        return check_identity(transition_monoid(a, MAX_3PT_MONOID), IDENTITIES[3]) is None
+        return check_identity(transition_monoid(a.minimal, MAX_3PT_MONOID), IDENTITIES[3]) is None
     except BudgetExceededError:
         return None
 
@@ -177,14 +175,15 @@ ClassStates = tuple[list[ClassKey], list[int], list[int]]
 
 
 def _class_state_map(a: Automaton, k: int, budget: int) -> Union[Certificate, ClassStates]:
-    """Pair each ~_k class with the DFA state (an index into `a.names`) its
-    first access word reaches, a chunk of classes at a time: the classes,
-    their states and first edges when every class meets a single state, or
-    a Certificate for the first edge that takes a class to a second one."""
-    rows = dfa_rows(a)
+    """Pair each ~_k class with the state of `a.minimal` its first access
+    word reaches, a chunk of classes at a time: the classes, their states
+    and first edges when every class meets a single state, or a Certificate
+    for the first edge that takes a class to a second one."""
     n = len(a.alphabet)
-    (start,) = a.starts
-    search = ClassSearch(n, k, budget)
+    search = ClassSearch(n, k, budget)  # refuses k < 0 before `a` is minimized
+    m = a.minimal
+    rows = dfa_rows(m)
+    (start,) = m.starts
     states, reached = [start], [-1]
     edge = 0  # the number of edges checked so far
     for row in search.rows():
@@ -204,8 +203,8 @@ def _class_state_map(a: Automaton, k: int, budget: int) -> Union[Certificate, Cl
                 k,
                 _access_word(reached, row[e], a.alphabet),
                 _access_word(reached, first + e // n, a.alphabet) + (a.alphabet[e % n],),
-                a.names[states[row[e]]],
-                a.names[targets[e]],
+                m.names[states[row[e]]],
+                m.names[targets[e]],
             )
         edge += len(row)
     return search.classes, states, reached
@@ -226,7 +225,7 @@ def _access_word(reached: list[int], cls: int, alphabet: tuple[str, ...]) -> Wor
 def is_kpt_oracle(
     a: Automaton, k: int, budget: int = DEFAULT_CLASS_BUDGET
 ) -> OracleAnswer:
-    """Exact k-PT test on a minimal complete DFA by class/state reachability."""
+    """Exact k-PT test by class/state reachability on the minimal DFA."""
     try:
         outcome = _class_state_map(a, k, budget)
     except BudgetExceededError:
@@ -237,13 +236,13 @@ def is_kpt_oracle(
 
 
 def is_kpt(a: Automaton, k: int, budget: int = DEFAULT_CLASS_BUDGET) -> OracleAnswer:
-    """Decide k-PT on a minimal complete DFA, cheapest check first.
+    """Decide k-PT on the minimal DFA, cheapest check first.
 
     k = 0..2 use the specialized deciders.  From k = 3 on, a language that
     is not PT is "no"; a PT one is tried on the monoid identities at k = 3,
-    and is k-PT for every k at least the depth of its minimal DFA.
+    and is k-PT for every k at least the depth of its minimal DFA, folded
+    over the partial order of the PT check.
     """
-    require_complete_dfa(a)
     if k < 0:
         raise InputError("k must be non-negative")
     if k == 0:
@@ -252,37 +251,36 @@ def is_kpt(a: Automaton, k: int, budget: int = DEFAULT_CLASS_BUDGET) -> OracleAn
         return OracleAnswer("yes" if is_1pt(a) else "no")
     if k == 2:
         return OracleAnswer("yes" if is_2pt(a) else "no")
-    if not is_pt_min_dfa(a):
+    po = pt_partial_order(a)
+    if po is None:
         return OracleAnswer("no")
     if k == 3:
         verdict = is_3pt(a)
         if verdict is not None:
             return OracleAnswer("yes" if verdict else "no")
-    if k >= depth(a):
+    if k >= longest_path(po):
         return OracleAnswer("yes")
     return is_kpt_oracle(a, k, budget)
 
 
 def verify_pair(a: Automaton, k: int, w1: Word, w2: Word) -> bool:
-    """True iff (w1, w2) witnesses non-k-PT of the minimal DFA `a`:
-    k-equivalent words reaching two distinct states of it.  On a DFA that
-    is not minimal, two distinct states may accept the same words, and
-    such a pair witnesses nothing."""
+    """True iff (w1, w2) witnesses non-k-PT of the language of `a`:
+    k-equivalent words reaching two distinct states of its minimal DFA."""
     for w in (w1, w2):
         for letter in w:
             if letter not in a.alphabet:
                 raise InputError(f"unknown letter {letter!r} in witness word")
     if not k_equivalent(w1, w2, k):
         return False
-    s1, s2 = a.dstate(w1), a.dstate(w2)
-    return s1 is not None and s2 is not None and s1 != s2
+    m = a.minimal
+    return m.dstate(w1) != m.dstate(w2)
 
 
 def verify_certificate(a: Automaton, c: Certificate) -> bool:
-    """Recompute everything a certificate claims and check it against `a`."""
-    if not verify_pair(a, c.k, c.w1, c.w2):
-        return False
-    return a.dstate(c.w1) == c.state1 and a.dstate(c.w2) == c.state2
+    """Recompute everything a certificate claims and check it against `a`.
+    Its state names are those of `a.minimal`, as the oracle gives them."""
+    m = a.minimal
+    return verify_pair(m, c.k, c.w1, c.w2) and m.dstate(c.w1) == c.state1 and m.dstate(c.w2) == c.state2
 
 
 def min_k(
@@ -298,27 +296,27 @@ def min_k(
     guaranteed upper bound; or None when the language is not piecewise
     testable at all.
     """
-    m = minimize(determinize(a))
     k = 0
-    while (verdict := is_kpt(m, k, budget).verdict) == "no":
+    while (verdict := is_kpt(a, k, budget).verdict) == "no":
         k += 1
-        if k == 2 and not is_pt_min_dfa(m):
+        if k == 2 and pt_partial_order(a) is None:
             return None
-    return k if verdict == "yes" else (k, depth(m))
+    return k if verdict == "yes" else (k, longest_path(pt_partial_order(a)))
 
 
 def decompose(
     a: Automaton, k: int, budget: int = DEFAULT_CLASS_BUDGET
 ) -> PieceExpression:
-    """Write the language of a k-PT minimal DFA as a union of clauses, one per
-    accepted ~_k class: the maximal members are required, the minimal missing
-    words are forbidden."""
+    """Write a k-PT language as a union of clauses, one per accepted ~_k
+    class: the maximal members are required, the minimal missing words are
+    forbidden."""
     outcome = _class_state_map(a, k, budget)
     if isinstance(outcome, Certificate):
         raise ContractError("decompose requires a k-PT language at this k")
     classes, states, reached = outcome
+    finals = a.minimal.finals
     access = {
-        cls: _access_word(reached, cls, a.alphabet) for cls, state in enumerate(states) if state in a.finals
+        cls: _access_word(reached, cls, a.alphabet) for cls, state in enumerate(states) if state in finals
     }
     order = sorted(access, key=lambda cls: (len(access[cls]), access[cls]))
     return PieceExpression(

@@ -17,8 +17,10 @@ moves, self-loop letters and order come from `automata.partial_order`, the
 pass `depth` folds over too, which raises CyclicAutomatonError on a cycle
 through distinct states.  An automaton has the UMS property iff
 `find_ums_violation` returns None.  `pt_partial_order` runs that check on
-the one partial order it returns for a PT minimal DFA, so that `kpt.is_2pt`
-folds over the same pass; `is_pt_min_dfa` asks whether it returns one.
+`a.minimal`, once per minimal DFA, and keeps the partial order it returns
+for a PT language, so that `kpt` folds over the same pass;
+`is_pt_min_dfa` asks whether it returns one.  `certify_pt_nfa` runs the
+same check on the NFA itself.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from ptlang.automata import (
     CyclicAutomatonError,
     PartialOrder,
     complete_with_sink,
-    determinize,
-    minimize,
     partial_order,
 )
 
@@ -125,10 +125,9 @@ def _other_maximal(moves: list[list[tuple[int, int]]], gamma: set[int], p: int) 
     return min(q for q in component if stuck[q] and q != p)
 
 
-def pt_partial_order(a: Automaton) -> Optional[PartialOrder]:
-    """The partial order of a minimal complete DFA whose language is
-    piecewise testable, as `automata.partial_order` gives it; None when
-    the DFA is cyclic or breaks the UMS property."""
+def _pt_order(a: Automaton) -> Optional[PartialOrder]:
+    """The partial order of `a`, as `automata.partial_order` gives it, when
+    `a` is partially ordered with the UMS property; None otherwise."""
     try:
         po = partial_order(a)
     except CyclicAutomatonError:
@@ -136,20 +135,31 @@ def pt_partial_order(a: Automaton) -> Optional[PartialOrder]:
     return po if _ums_violation(a, po) is None else None
 
 
+def pt_partial_order(a: Automaton) -> Optional[PartialOrder]:
+    """The partial order of `a.minimal` when the language of `a` is
+    piecewise testable; None otherwise.  Each minimal DFA computes it once
+    and keeps it, so callers share it and must leave it as it is."""
+    m = a.minimal
+    if "_pt_order" not in m.__dict__:
+        m.__dict__["_pt_order"] = _pt_order(m)
+    return m.__dict__["_pt_order"]
+
+
 def is_pt_min_dfa(a: Automaton) -> bool:
-    """Piecewise testability of the language of a minimal complete DFA:
-    partially ordered, with the UMS property."""
+    """Piecewise testability of the language of `a`, decided on its minimal
+    DFA: partially ordered, with the UMS property."""
     return pt_partial_order(a) is not None
 
 
 def certify_pt_nfa(a: Automaton) -> bool:
     """Sound PT certificate for NFAs, with no determinization.
 
-    True means the language is certainly PT: the NFA is complete and passes
-    the test of `is_pt_min_dfa`, which is sound on complete NFAs.  False is
-    inconclusive; callers fall back to the minimal-DFA check.
+    True means the language is certainly PT: the NFA itself is complete,
+    partially ordered and has the UMS property, the test that decides PT on
+    a minimal DFA and is sound on complete NFAs.  False is inconclusive;
+    callers fall back to the minimal DFA.
     """
-    return bool(a.names) and a.complete and is_pt_min_dfa(a)
+    return bool(a.names) and a.complete and _pt_order(a) is not None
 
 
 def is_pt(a: Automaton) -> bool:
@@ -158,6 +168,4 @@ def is_pt(a: Automaton) -> bool:
     An incomplete NFA gets a non-accepting sink first (`complete_with_sink`,
     which keeps its language), so the certificate answers for every ptNFA
     with no determinization; otherwise the minimal DFA decides."""
-    if certify_pt_nfa(complete_with_sink(a)):
-        return True
-    return is_pt_min_dfa(minimize(determinize(a)))
+    return certify_pt_nfa(complete_with_sink(a)) or is_pt_min_dfa(a)

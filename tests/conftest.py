@@ -261,6 +261,19 @@ def random_complete_dfa(rng: random.Random, max_states=6, letters=("a", "b")) ->
     return make_automaton(states, letters, triples, [states[0]], accepting)
 
 
+def all_complete_dfas(max_states=3, letters=("a", "b")):
+    """Every complete DFA with states q0, q1, ... up to `max_states` over
+    `letters`, started at q0: every successor table with every accepting
+    set, minimal or not, all states reachable or not.  5,898 DFAs for the
+    defaults."""
+    for n in range(1, max_states + 1):
+        names = [f"q{i}" for i in range(n)]
+        for successors in itertools.product(range(n), repeat=n * len(letters)):
+            for accepting in range(1 << n):
+                finals = [q for q in range(n) if accepting >> q & 1]
+                yield dfa_from_successors(names, letters, successors, 0, finals)
+
+
 def random_acyclic_complete_dfa(rng: random.Random, max_states=6, letters=("a", "b")) -> Automaton:
     """Transitions never go backwards in the state order, so the result is
     partially ordered; these are the interesting candidates for PT tests."""

@@ -32,17 +32,11 @@ from ptlang import (
     canonical_automaton,
     check_identity,
     complete_with_sink,
-    decompose,
     depth,
     determinize,
     gen_ak,
     gen_intersection_nfa,
     gen_tight_depth_dfa,
-    is_0pt,
-    is_1pt,
-    is_2pt,
-    is_3pt,
-    is_kpt_oracle,
     is_pt,
     is_pt_min_dfa,
     make_automaton,
@@ -181,11 +175,9 @@ def test_table_rows_agree_with_transitions():
 
 def test_table_requires_a_complete_dfa():
     partial = make_automaton(["p", "q"], ["a"], [("p", "a", "q")], ["p"], ["q"])
-    complete_dfa_algorithms = (
-        dfa_rows, dfa_columns, minimize, transition_monoid, is_0pt, is_1pt, is_2pt, is_3pt,
-        lambda a: is_kpt_oracle(a, 2), lambda a: decompose(a, 2),
-    )
-    for algorithm in complete_dfa_algorithms:
+    # The k-PT deciders read `Automaton.minimal` instead, so an NFA gets its
+    # minimal DFA's answer there (test_kpt.py).
+    for algorithm in (dfa_rows, dfa_columns, minimize, transition_monoid):
         for a in (gen_ak(1), partial):
             with pytest.raises(ContractError, match="^this operation requires a deterministic complete automaton$"):
                 algorithm(a)

@@ -1,9 +1,11 @@
 import random
 import time
+from dataclasses import replace
 from itertools import chain
 
 import pytest
 from conftest import (
+    all_complete_dfas,
     all_words,
     dfa_ab_star,
     dfa_only_epsilon,
@@ -16,11 +18,12 @@ from conftest import (
     reference_is_2pt,
 )
 
-from ptlang import kpt
+from ptlang import automata, kpt, pt
 from ptlang import (
     BudgetExceededError,
     Certificate,
     ContractError,
+    InputError,
     TransitionMonoid,
     canonical_automaton,
     check_identity,
@@ -86,7 +89,7 @@ def test_is_1pt_matches_the_row_reference():
     ]
     cases += [make_automaton(["p", "q"], [], [], ["q"], ["p"])]
     verdicts = [is_1pt(a) for a in cases]
-    assert verdicts == [reference_is_1pt(a) for a in cases]
+    assert verdicts == [reference_is_1pt(a.minimal) for a in cases]
     assert 0 < sum(verdicts[:300]) < 300 and 0 < sum(verdicts[300:600]) < 300
     assert all(verdicts[600:])
 
@@ -334,14 +337,80 @@ def test_oracle_and_canonical_budgets_match_reference(case, k, verdicts):
     assert seen == verdicts
 
 
-def test_oracle_rejects_nfa():
-    with pytest.raises(ContractError):
-        is_kpt_oracle(gen_ak(1), 1)
+def test_an_nfa_gets_its_minimal_dfas_answer():
+    # The deciders read `Automaton.minimal`, so an NFA or an incomplete DFA
+    # gets the answers of its minimal DFA instead of a ContractError.
+    partial = make_automaton(["p", "q"], ["a"], [("p", "a", "q")], ["p"], ["q"])
+    for a in (gen_ak(1), partial):
+        m = min_dfa(a)
+        for decider in (is_0pt, is_1pt, is_2pt, is_3pt, min_k):
+            assert decider(a) == decider(m), decider
+        for k in range(4):
+            assert is_kpt(a, k) == is_kpt(m, k)
+            assert is_kpt_oracle(a, k) == is_kpt_oracle(m, k)
+        assert decompose(a, 2) == decompose(m, 2)
 
 
-def test_is_kpt_rejects_nfa():
-    with pytest.raises(ContractError, match="^this operation requires a deterministic complete automaton$"):
-        is_kpt(gen_ak(1), 1)
+def test_negative_k_is_refused_before_minimizing(monkeypatch):
+    # The subset DFA of A_16 has 2^17 states; a negative k needs none of them.
+    def refuse(a):
+        raise AssertionError("determinized before k was checked")
+
+    monkeypatch.setattr(automata, "determinize", refuse)
+    calls = (is_kpt, is_kpt_oracle, decompose, lambda a, k: verify_pair(a, k, (), ()))
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="^k must be non-negative$"):
+            call(gen_ak(16), -1)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_swap_dfa_gets_the_answers_of_a_star():
+    # a* as a complete DFA whose two accepting states swap on a.
+    a = make_automaton(["p", "q"], ["a"], [("p", "a", "q"), ("q", "a", "p")], ["p"], ["p", "q"])
+    for k in range(4):
+        assert is_kpt(a, k).verdict == is_kpt_oracle(a, k).verdict == "yes"
+    assert is_0pt(a) and is_1pt(a) and is_2pt(a) and is_3pt(a)
+    assert min_k(a) == 0
+    assert not verify_pair(a, 0, (), ("a",))
+
+
+def test_replace_of_a_minimal_dfa_is_minimized_again():
+    # dataclasses.replace copies the fields only, so the changed automaton
+    # is not taken for its own minimal DFA.
+    m = min_dfa(dfa_piece(("a", "b"), ("a", "b")))
+    assert m.minimal is m and min_k(m) == 2
+    everything = replace(m, accepting=m.names)
+    assert len(everything.minimal.names) == 1
+    assert is_0pt(everything) and min_k(everything) == 0
+    assert not verify_pair(everything, 1, ("a",), ("b", "a"))
+
+
+def answers(a):
+    """is_0pt to is_3pt and min_k on `a`, then is_kpt and the oracle at
+    k = 0..3, the oracle's four last."""
+    deciders = (is_0pt(a), is_1pt(a), is_2pt(a), is_3pt(a), min_k(a))
+    return (*deciders, *[is_kpt(a, k) for k in range(4)], *[is_kpt_oracle(a, k) for k in range(4)])
+
+
+def test_every_small_complete_dfa_gets_its_minimizations_answers():
+    # Every complete DFA with at most 3 states over {a, b}, minimal or not,
+    # gets the answers of minimize(a), which each distinct minimal DFA
+    # computes once; every oracle "no" carries a certificate that checks.
+    expected = {}
+    count = certificates = 0
+    for a in all_complete_dfas():
+        m = minimize(a)
+        if m not in expected:
+            expected[m] = answers(m)
+        got = answers(a)
+        assert got == expected[m], a
+        for answer in got[-4:]:
+            if answer.verdict == "no":
+                assert verify_certificate(a, answer.certificate), (a, answer)
+                certificates += 1
+        count += 1
+    assert count == 5898 and certificates > 0
 
 
 def test_specialized_deciders_agree_with_oracle():
@@ -428,41 +497,23 @@ def test_min_k_interval_on_budget():
     assert hi == depth(min_dfa(m))
 
 
-def test_min_k_computes_depth_only_for_an_interval(monkeypatch):
-    # An exact answer needs no depth of its own: is_kpt says "yes" or "no"
-    # at each k below it, and the walk stops at the first "yes".
-    calls = []
-    monkeypatch.setattr(kpt, "depth", lambda a: calls.append(a) or depth(a))
-    cases = [
-        (gen_intersection_nfa(("a", "b", "c")), 1),
-        (gen_ak(1), 2),
-        (gen_tight_depth_dfa(2, 3), 2),
-        (gen_ak(2), 3),  # is_3pt decides k = 3
-    ]
-    for a, expected in cases:
-        assert min_k(a) == expected
-    assert calls == []
-
-
-def test_min_k_checks_pt_only_past_k_1(monkeypatch):
-    # A 0- or 1-PT language is PT: the walk asks is_kpt at k = 0 and 1
-    # before its own PT check, and is_2pt's is the only other one.
-    calls = []
-    for name in ("is_pt_min_dfa", "pt_partial_order"):
-        check = getattr(kpt, name)
-        monkeypatch.setattr(kpt, name, lambda a, check=check: calls.append(a) or check(a))
-    sigma_star = make_automaton(["q"], ["a"], [("q", "a", "q")], ["q"], ["q"])
-    cases = [
-        (sigma_star, 0, 0),
-        (gen_intersection_nfa(("a", "b", "c")), 1, 0),
-        (dfa_piece(("a", "b"), ("a", "b")), 2, 2),
-        (dfa_parity(), None, 1),
-        (dfa_ab_star(), None, 1),
-    ]
-    for a, expected, checks in cases:
-        calls.clear()
-        assert min_k(a) == expected
-        assert len(calls) == checks, a
+def test_each_minimal_dfa_runs_one_partial_order_pass(monkeypatch):
+    # min_k's PT check, is_2pt, is_kpt's PT and depth rungs and the interval
+    # bound all read the one order that the minimal DFA keeps; a 1-PT
+    # language gets no PT check at all.
+    passes = []
+    run = automata.partial_order
+    for module in (automata, pt):
+        monkeypatch.setattr(module, "partial_order", lambda a: passes.append(a) or run(a))
+    assert min_k(gen_ak(3), budget=5) == (3, 15)
+    assert len(passes) == 1
+    passes.clear()
+    m = min_dfa(gen_ak(2))
+    assert is_kpt(m, 2).verdict == "no" and is_kpt(m, 3).verdict == "yes"
+    assert passes == [m]
+    passes.clear()
+    assert min_k(gen_intersection_nfa(("a", "b", "c"))) == 1
+    assert passes == []
 
 
 def test_depth_within_the_tight_bound_at_min_k():

@@ -31,7 +31,7 @@ from ptlang import (
     minimize,
     verify_pair,
 )
-from ptlang import pt
+from ptlang import automata
 from ptlang.automata import partial_order
 from ptlang.cli import parse_automaton
 from ptlang.pt import find_ums_violation
@@ -264,14 +264,15 @@ def test_sink_completed_certificate_is_sound_and_is_pt_agrees():
 
 def test_is_pt_certifies_ak_without_determinizing(monkeypatch):
     # The minimal DFA of A_12 has 2^13 states; the sink-completed A_12 is a
-    # ptNFA, so no subset construction is needed.
+    # ptNFA, so no subset construction is needed.  Any other NFA is
+    # determinized where `Automaton.minimal` is built.
     def refuse(a):
         raise AssertionError("is_pt determinized a certified ptNFA")
 
-    monkeypatch.setattr(pt, "determinize", refuse)
+    monkeypatch.setattr(automata, "determinize", refuse)
     assert is_pt(gen_ak(12))
     with pytest.raises(AssertionError):
-        is_pt(dfa_parity())
+        is_pt(parse_automaton(CYCLIC_NFA))
 
 
 def test_pt_implies_kpt_at_depth():
