@@ -337,18 +337,37 @@ def test_oracle_and_canonical_budgets_match_reference(case, k, verdicts):
     assert seen == verdicts
 
 
+def nfa_and_incomplete_dfa():
+    partial = make_automaton(["p", "q"], ["a"], [("p", "a", "q")], ["p"], ["q"])
+    return gen_ak(1), partial
+
+
 def test_an_nfa_gets_its_minimal_dfas_answer():
     # The deciders read `Automaton.minimal`, so an NFA or an incomplete DFA
     # gets the answers of its minimal DFA instead of a ContractError.
-    partial = make_automaton(["p", "q"], ["a"], [("p", "a", "q")], ["p"], ["q"])
-    for a in (gen_ak(1), partial):
+    for a in nfa_and_incomplete_dfa():
         m = min_dfa(a)
         for decider in (is_0pt, is_1pt, is_2pt, is_3pt, min_k):
             assert decider(a) == decider(m), decider
+        assert decompose(a, 2) == decompose(m, 2)
+
+
+def test_is_kpt_answers_an_nfa_as_its_minimal_dfa():
+    for a in nfa_and_incomplete_dfa():
+        m = min_dfa(a)
         for k in range(4):
             assert is_kpt(a, k) == is_kpt(m, k)
+    assert is_kpt(gen_ak(1), 1).verdict == "no"
+    assert is_kpt(gen_ak(1), 2).verdict == "yes"
+
+
+def test_oracle_answers_an_nfa_as_its_minimal_dfa():
+    for a in nfa_and_incomplete_dfa():
+        m = min_dfa(a)
+        for k in range(4):
             assert is_kpt_oracle(a, k) == is_kpt_oracle(m, k)
-        assert decompose(a, 2) == decompose(m, 2)
+    answer = is_kpt_oracle(gen_ak(1), 1)
+    assert answer.verdict == "no" and verify_certificate(gen_ak(1), answer.certificate)
 
 
 def test_negative_k_is_refused_before_minimizing(monkeypatch):
@@ -495,6 +514,44 @@ def test_min_k_interval_on_budget():
     assert lo <= 4 <= hi
     assert (lo, hi) == (3, 15)
     assert hi == depth(min_dfa(m))
+
+
+def test_min_k_computes_depth_only_for_an_interval(monkeypatch):
+    # An exact answer needs no depth of its own: is_kpt says "yes" or "no"
+    # at each k below it, and the walk stops at the first "yes".
+    calls = []
+    monkeypatch.setattr(kpt, "longest_path", lambda po: calls.append(po) or automata.longest_path(po))
+    cases = [
+        (gen_intersection_nfa(("a", "b", "c")), 1),
+        (gen_ak(1), 2),
+        (gen_tight_depth_dfa(2, 3), 2),
+        (gen_ak(2), 3),  # is_3pt decides k = 3
+    ]
+    for a, expected in cases:
+        assert min_k(a) == expected
+    assert calls == []
+    assert min_k(gen_ak(3), budget=5) == (3, 15)
+    assert len(calls) == 2  # is_kpt's depth rung at k = 3, then the bound
+
+
+def test_min_k_checks_pt_only_past_k_1(monkeypatch):
+    # A 0- or 1-PT language is PT: the walk asks is_kpt at k = 0 and 1
+    # before its own PT check, and is_2pt's is the only other one.
+    calls = []
+    check = kpt.pt_partial_order
+    monkeypatch.setattr(kpt, "pt_partial_order", lambda a: calls.append(a) or check(a))
+    sigma_star = make_automaton(["q"], ["a"], [("q", "a", "q")], ["q"], ["q"])
+    cases = [
+        (sigma_star, 0, 0),
+        (gen_intersection_nfa(("a", "b", "c")), 1, 0),
+        (dfa_piece(("a", "b"), ("a", "b")), 2, 2),
+        (dfa_parity(), None, 1),
+        (dfa_ab_star(), None, 1),
+    ]
+    for a, expected, checks in cases:
+        calls.clear()
+        assert min_k(a) == expected
+        assert len(calls) == checks, a
 
 
 def test_each_minimal_dfa_runs_one_partial_order_pass(monkeypatch):
